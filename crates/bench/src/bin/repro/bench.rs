@@ -306,7 +306,11 @@ pub fn run(
         use std::sync::Arc;
         let chaos = net.chaos_seed.is_some();
         let copts = crate::call_options(net.timeout_ms, net.retries);
-        grid.fresh_boot = true;
+        // Request the session grid, as `repro client grid` does, so the
+        // timed fill lands under the cache keys real clients use. Its
+        // records are bit-identical to the fresh-boot oracle's (asserted
+        // above), so `local_body` still applies.
+        grid.fresh_boot = false;
         eprintln!(
             "bench: served_grid ({runs} runs over countd, memory cache{})",
             if chaos { ", CHAOS MODE" } else { "" }
@@ -418,7 +422,7 @@ pub fn run(
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"counterlab repro bench\",\n  \"pr\": 8,\n  \"schema\": 1,\n  \
+        "{{\n  \"bench\": \"counterlab repro bench\",\n  \"schema\": 1,\n  \
          \"scale\": \"{scale_name}\",\n  \"jobs\": {},\n  \
          \"note\": \"fresh = one stack boot per run (the equivalence oracle; performance-\
          equivalent to the pre-PR engine within noise); session = boot once per cell, \

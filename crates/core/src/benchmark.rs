@@ -84,6 +84,15 @@ pub enum Benchmark {
     /// block and one no-op system call. The kernel-instruction count per
     /// round trip is fixed by [`SyscallConvention`] plus the handler
     /// budget, so both the user and the kernel oracles are closed-form.
+    ///
+    /// It runs through [`System::run_syscall_rounds`]: every round between
+    /// two interrupts commits the same user and kernel deltas, so the
+    /// rounds that fit before the next interrupt is due are committed as
+    /// one scaled delta per privilege level, and only the round an
+    /// interrupt falls in is executed mix by mix. Counter commits are
+    /// linear and each mix's cost is fixed, so this is exact, not an
+    /// approximation: every counter, cycle and tick matches the per-round
+    /// execution.
     SyscallHeavy {
         /// Number of user-compute + syscall rounds.
         iters: u64,
@@ -316,11 +325,8 @@ impl Benchmark {
                 let compute = InstMix::straight_line(Self::SYSCALL_USER_COMPUTE);
                 let pre = InstMix::straight_line(Self::SYSCALL_HANDLER_PRE);
                 let post = InstMix::straight_line(Self::SYSCALL_HANDLER_POST);
-                for _ in 0..*iters {
-                    sys.run_user_mix(&compute);
-                    sys.syscall(&pre, |_| Ok(()), &post)
-                        .expect("a user-mode benchmark cannot nest syscalls");
-                }
+                sys.run_syscall_rounds(&compute, &pre, &post, *iters)
+                    .expect("a user-mode benchmark cannot nest syscalls");
             }
             Benchmark::NestedLoop { iters } => {
                 sys.run_user_mix(&InstMix::LOOP_PROLOGUE);

@@ -88,6 +88,9 @@ impl Default for CacheConfig {
     }
 }
 
+/// Sequence number of disk-tier temp files, unique within the process.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
 struct MemEntry {
     payload: Arc<String>,
     /// LRU stamp: monotone access clock, smallest evicts first.
@@ -261,8 +264,13 @@ impl CellCache {
         // Write-to-temp + rename so a crashed or concurrent writer can
         // never leave a half-entry under the final name. Disk-tier
         // failures are deliberately non-fatal: the server degrades to
-        // memory-only caching rather than failing requests.
-        let tmp = path.with_extension(format!("tmp.{:x}", std::process::id()));
+        // memory-only caching rather than failing requests. The temp name
+        // carries a per-process sequence number next to the pid: every
+        // writer thread shares the pid, and two threads writing one key
+        // through one temp file could tear each other's entry.
+        // countlint: allow(undocumented-relaxed-atomic) -- only uniqueness of the returned number matters; nothing is published under it
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("tmp.{:x}.{seq:x}", std::process::id()));
         let mut body = format!(
             "{} {:016x}\n{payload}",
             wire::CACHE_MAGIC,
@@ -1344,6 +1352,51 @@ mod tests {
         assert!(cache.get(0xABC).is_none(), "corrupt entry must not be served");
         assert_eq!(cache.counters().3, 1, "poisoning detected and counted");
         assert!(!path.exists(), "corrupt entry removed");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_disk_writes_of_one_key_never_tear() {
+        // Several threads put the same key to the disk tier at once, each
+        // with its own payload, and re-read the entry from disk between
+        // writes. Every temp file must be private to its writer: a shared
+        // one interleaves two bodies and the entry reads back poisoned.
+        let dir = std::env::temp_dir().join(format!("countd-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = CacheConfig {
+            dir: Some(dir.clone()),
+            ..CacheConfig::default()
+        };
+        let cache = CellCache::new(config.clone()).unwrap();
+        const KEY: u64 = 0x5EED;
+        let payloads: Vec<String> = (0..4)
+            .map(|t| format!("{t}").repeat(64 * 1024 + t * 4099))
+            .collect();
+        // The barrier releases all writers into each round's `put` at once.
+        let start = std::sync::Barrier::new(payloads.len());
+        let (cache, payloads, start) = (&cache, &payloads, &start);
+        thread::scope(|s| {
+            for payload in payloads {
+                s.spawn(move || {
+                    for _ in 0..25 {
+                        start.wait();
+                        cache.put(KEY, Arc::new(payload.clone()));
+                        if let Some(read) = cache.disk_read(KEY) {
+                            assert!(payloads.contains(&read), "torn entry served");
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(cache.counters().3, 0, "no write tore the entry");
+        let cold = CellCache::new(config).unwrap();
+        let read = cold.get(KEY).expect("entry reads back from disk");
+        assert!(
+            payloads.contains(&read),
+            "entry is one writer's whole payload"
+        );
+        assert_eq!(cold.counters(), (1, 0, 1, 0), "one verified disk hit");
+        assert_eq!(cold.quarantined(), 0, "no temp file left behind");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

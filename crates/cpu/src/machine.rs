@@ -192,10 +192,15 @@ impl Machine {
     /// 4-byte elements.
     pub const SEQUENTIAL_WALK_MISS_PERIOD: u64 = 16;
 
-    /// Retires a straight-line instruction mix at the given privilege level
-    /// and returns the committed event delta.
-    pub fn execute_mix(&mut self, mix: &InstMix, privilege: Privilege) -> EventDelta {
-        let delta = EventDelta {
+    /// The event delta retiring a straight-line mix produces, without
+    /// committing it. A pure function of the mix and the
+    /// micro-architecture: the same mix always yields the same delta,
+    /// which is what lets the kernel commit repeated mixes in bulk.
+    // `execute_mix` runs on every retired mix: without the hint this and
+    // `commit_delta` stay out-of-line calls in it.
+    #[inline]
+    pub fn mix_delta(&self, mix: &InstMix) -> EventDelta {
+        EventDelta {
             instructions: mix.total_instructions(),
             cycles: timing::straight_cycles(self.uarch(), mix),
             branches: mix.branches,
@@ -206,8 +211,14 @@ impl Machine {
             // period.
             dcache_misses: mix.loads / Self::STRAIGHT_LOAD_MISS_PERIOD + mix.chase_loads,
             itlb_misses: 0,
-        };
-        self.commit(&delta, privilege);
+        }
+    }
+
+    /// Retires a straight-line instruction mix at the given privilege level
+    /// and returns the committed event delta.
+    pub fn execute_mix(&mut self, mix: &InstMix, privilege: Privilege) -> EventDelta {
+        let delta = self.mix_delta(mix);
+        self.commit_delta(&delta, privilege);
         delta
     }
 
@@ -260,7 +271,7 @@ impl Machine {
             itlb_misses: u64::from(analysis.itlb_miss),
             ..EventDelta::default()
         };
-        self.commit(&delta, privilege);
+        self.commit_delta(&delta, privilege);
     }
 
     /// Executes `iters` steady-state iterations of the loop body.
@@ -289,7 +300,7 @@ impl Machine {
                 + body.chase_loads * iters,
             ..EventDelta::default()
         };
-        self.commit(&delta, privilege);
+        self.commit_delta(&delta, privilege);
         delta
     }
 
@@ -301,7 +312,7 @@ impl Machine {
             branch_mispredictions: 1,
             ..EventDelta::default()
         };
-        self.commit(&delta, privilege);
+        self.commit_delta(&delta, privilege);
     }
 
     /// Convenience wrapper: analyze + warmup + all iterations + exit, as one
@@ -406,7 +417,12 @@ impl Machine {
         }
     }
 
-    fn commit(&mut self, delta: &EventDelta, privilege: Privilege) {
+    /// Commits a precomputed delta at `privilege`: the PMU accumulates it
+    /// ([`Pmu::commit`]) and the cycle clock advances by its cycles. Both
+    /// are linear, so committing `d.scaled(k)` once equals committing `d`
+    /// `k` times.
+    #[inline]
+    pub fn commit_delta(&mut self, delta: &EventDelta, privilege: Privilege) {
         self.pmu.commit(delta, privilege);
         self.cycle += delta.cycles;
     }

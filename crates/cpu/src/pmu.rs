@@ -167,6 +167,20 @@ impl EventDelta {
             itlb_misses: self.itlb_misses + other.itlb_misses,
         }
     }
+
+    /// Component-wise product with `k`: the delta of `k` repetitions of
+    /// this quantum.
+    pub fn scaled(&self, k: u64) -> EventDelta {
+        EventDelta {
+            instructions: self.instructions * k,
+            cycles: self.cycles * k,
+            branches: self.branches * k,
+            branch_mispredictions: self.branch_mispredictions * k,
+            icache_misses: self.icache_misses * k,
+            dcache_misses: self.dcache_misses * k,
+            itlb_misses: self.itlb_misses * k,
+        }
+    }
 }
 
 /// Snapshot of all counter values, used by the kernel's context-switch code
@@ -722,6 +736,10 @@ mod tests {
         assert_eq!(m.count(Event::BranchesRetired), 3);
         assert_eq!(m.count(Event::ItlbMisses), 4);
         assert_eq!(m.count(Event::DCacheMisses), 0);
+        // Scaling by k is k-fold merging, component by component.
+        assert_eq!(m.scaled(0), EventDelta::default());
+        assert_eq!(m.scaled(1), m);
+        assert_eq!(m.scaled(3), m.merged(&m).merged(&m));
     }
 
     #[test]

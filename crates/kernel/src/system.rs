@@ -244,6 +244,80 @@ impl System {
         result
     }
 
+    /// Runs `rounds` rounds of a user-mode `compute` mix followed by one
+    /// no-op system call with `pre`/`post` handler mixes. The result is
+    /// exactly that of `rounds` × ([`System::run_user_mix`] +
+    /// [`System::syscall`]), but the rounds between two interrupts are
+    /// committed in one step instead of one mix at a time.
+    ///
+    /// **Batching rule.** A round checks for interrupts only after its
+    /// compute mix and after the syscall's user exit, and a round always
+    /// costs the same `round_cycles`. So from cycle `now`, the next
+    /// `k = (next_event − now − 1) / round_cycles` rounds (capped at the
+    /// rounds left) end before the next interrupt is due and cannot see
+    /// it. They are committed as the round's user delta (compute + user
+    /// entry + user exit) scaled by `k` at user level plus its kernel
+    /// delta (kernel entry + `pre` + `post` + kernel exit) scaled by `k`
+    /// at kernel level. The one round an interrupt falls in runs through
+    /// the per-mix path, which delivers it; then batching resumes.
+    ///
+    /// **Why it is exact.** [`counterlab_cpu::pmu::Pmu::commit`] adds a
+    /// delta linearly per privilege level, and each mix's delta (cycles
+    /// included) is an integer computed from that mix alone
+    /// ([`Machine::mix_delta`]). So `k` rounds committed at once leave
+    /// every counter, the TSC and the cycle clock where `k` rounds
+    /// committed one by one would, and no interrupt is skipped or moved.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::AlreadyInKernel`] when called in kernel mode.
+    pub fn run_syscall_rounds(
+        &mut self,
+        compute: &InstMix,
+        pre: &InstMix,
+        post: &InstMix,
+        rounds: u64,
+    ) -> Result<()> {
+        if self.machine.privilege() == Privilege::Kernel {
+            return Err(KernelError::AlreadyInKernel);
+        }
+        let [user_entry, kernel_entry, kernel_exit, user_exit] = self.conv_mixes;
+        let m = &self.machine;
+        let compute_delta = m.mix_delta(compute);
+        let user = compute_delta
+            .merged(&m.mix_delta(&user_entry))
+            .merged(&m.mix_delta(&user_exit));
+        let kernel = m
+            .mix_delta(&kernel_entry)
+            .merged(&m.mix_delta(pre))
+            .merged(&m.mix_delta(post))
+            .merged(&m.mix_delta(&kernel_exit));
+        let round_cycles = user.cycles + kernel.cycles;
+        let mut remaining = rounds;
+        while remaining > 0 {
+            let budget = self
+                .next_event_cycle()
+                .saturating_sub(self.machine.cycle() + 1);
+            let k = (budget / round_cycles).min(remaining);
+            self.machine.commit_delta(&user.scaled(k), Privilege::User);
+            self.machine
+                .commit_delta(&kernel.scaled(k), Privilege::Kernel);
+            self.syscall_count += k;
+            let tid = self.threads.current();
+            if let Some(t) = self.threads.get_mut(tid) {
+                t.add_user_instructions(k * compute_delta.instructions);
+            }
+            remaining -= k;
+            if remaining > 0 {
+                // An interrupt falls in this round: run it mix by mix.
+                self.run_user_mix(compute);
+                self.syscall(pre, |_| Ok(()), post)?;
+                remaining -= 1;
+            }
+        }
+        Ok(())
+    }
+
     /// Spawns a new thread.
     pub fn spawn_thread(&mut self, name: impl Into<String>) -> ThreadId {
         self.threads.spawn(name)
@@ -393,6 +467,10 @@ impl System {
         self.maybe_preempt();
     }
 
+    // I/O interrupts are off by default and rare when on. Left inlinable,
+    // this handler is copied into `deliver_due_ticks` and its callers,
+    // which run after every user mix and syscall, and bloats them.
+    #[cold]
     fn run_io_handler(&mut self) {
         let handler = self
             .io
