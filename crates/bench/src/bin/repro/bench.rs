@@ -197,7 +197,7 @@ pub fn run(
     let local_body = served.then(|| {
         let mut body = String::with_capacity(fresh_records.len() * 48);
         for record in &fresh_records {
-            body.push_str(&counterlab::wire::encode_record(record));
+            counterlab::wire::encode_record_into(&mut body, record);
         }
         body
     });

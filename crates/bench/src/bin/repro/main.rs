@@ -511,10 +511,7 @@ fn run_client(
             let priority = priority.unwrap_or_else(|| serve::auto_priority(&grid));
             let (meta, records) = serve::request_grid_with(addr, &grid, priority, opts).map_err(err)?;
             if csv_out {
-                print!("{}", report::CSV_HEADER);
-                for record in &records {
-                    print!("{}", report::record_to_csv_line(record));
-                }
+                print!("{}", report::records_to_csv(&records));
             } else {
                 println!(
                     "{} records from {} cells x {} reps ({} cells cached, {} computed)",

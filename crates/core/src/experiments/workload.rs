@@ -220,8 +220,11 @@ impl WorkloadFigure {
             CSV_ARTIFACT,
             Box::new(move |push| {
                 push(report::CSV_HEADER);
+                let mut line = String::new();
                 for rec in &self.records {
-                    push(&report::record_to_csv_line(rec));
+                    line.clear();
+                    report::write_csv_line(&mut line, rec);
+                    push(&line);
                 }
                 Ok(self.records.len() as u64)
             }),

@@ -428,6 +428,14 @@ impl Grid {
     /// csv` stays byte-identical to the batch path at `O(1)` memory in the
     /// record count.
     ///
+    /// The sink contract: `sink` is called once with
+    /// [`CSV_HEADER`](crate::report::CSV_HEADER), then once per record in
+    /// flat (cell × repetition) order, each call carrying exactly one
+    /// `\n`-terminated line. The record lines are written by
+    /// [`write_csv_line`](crate::report::write_csv_line) into one reused
+    /// buffer, so the `&str` is only valid for the call. Returns the
+    /// number of record lines.
+    ///
     /// # Errors
     ///
     /// Propagates the lowest-index measurement failure.
@@ -440,6 +448,12 @@ impl Grid {
         let total = cells.len() * self.reps;
         sink(crate::report::CSV_HEADER);
         let mut written = 0usize;
+        let mut line = String::with_capacity(crate::report::LINE_CAPACITY);
+        let mut emit = |record: &Record| {
+            line.clear();
+            crate::report::write_csv_line(&mut line, record);
+            sink(&line);
+        };
         if self.fresh_boot {
             exec::run_indexed_each(
                 total,
@@ -450,12 +464,11 @@ impl Grid {
                     let rep = i % self.reps;
                     let seed = per_run_seed(self.base_seed, cell, rep);
                     let cfg = MeasurementConfig { seed, ..*cell };
-                    let record = run_measurement(&cfg, self.benchmark)?;
-                    Ok(crate::report::record_to_csv_line(&record))
+                    run_measurement(&cfg, self.benchmark)
                 },
-                |_, line| {
+                |_, record| {
                     written += 1;
-                    sink(&line);
+                    emit(&record);
                 },
             )?;
             return Ok(written);
@@ -463,11 +476,11 @@ impl Grid {
         // Session path: bounded batches of whole cells, each cell one
         // reused session on one worker. Lines reach the sink in the exact
         // flat order of the batch path, holding at most one batch of
-        // `CSV_CELL_BATCH × reps` lines in memory.
+        // `CSV_CELL_BATCH × reps` records in memory.
         let mut start = 0usize;
         while start < cells.len() {
             let len = CSV_CELL_BATCH.min(cells.len() - start);
-            let lines = exec::run_cell_chunked(
+            let records = exec::run_cell_chunked(
                 len,
                 self.reps,
                 self.reps,
@@ -481,13 +494,12 @@ impl Grid {
                     // countlint: allow(panic-in-serving-path) -- start + i / reps < cells.len(): i ranges over the clamped batch
                     let cell = &cells[start + i / self.reps];
                     let seed = per_run_seed(self.base_seed, cell, i % self.reps);
-                    let record = session.run(seed)?;
-                    Ok(crate::report::record_to_csv_line(&record))
+                    session.run(seed)
                 },
             )?;
-            for line in lines {
+            for record in &records {
                 written += 1;
-                sink(&line);
+                emit(record);
                 if let Some(progress) = opts.progress {
                     progress(written, total);
                 }
@@ -512,8 +524,8 @@ pub struct CellSummary {
 }
 
 /// Cells per batch of the streaming session CSV path: memory stays
-/// bounded at `CSV_CELL_BATCH × reps` lines while each batch still feeds
-/// every worker.
+/// bounded at `CSV_CELL_BATCH × reps` records while each batch still
+/// feeds every worker.
 const CSV_CELL_BATCH: usize = 256;
 
 /// Deterministic per-run seed from the base seed, the cell's identity and
@@ -662,18 +674,30 @@ mod tests {
 
     #[test]
     fn run_csv_matches_batch_bytes() {
+        // The sink contract: one newline-terminated line per call (the
+        // header, then one per record in flat order), concatenating to
+        // the batch CSV, for both boot policies at jobs 1 and 4.
         let mut g = Grid::new(Benchmark::Null);
         g.interfaces = vec![Interface::Pm, Interface::Pc];
         g.patterns = vec![Pattern::StartRead, Pattern::ReadStop];
         g.reps = 4;
-        let batch = crate::report::records_to_csv(&g.run().unwrap());
-        for jobs in [1, 4] {
-            let mut streamed = String::new();
-            let n = g
-                .run_csv(&RunOptions::with_jobs(jobs), |line| streamed.push_str(line))
-                .unwrap();
-            assert_eq!(n, g.run_count());
-            assert_eq!(streamed, batch, "jobs = {jobs}");
+        for fresh in [false, true] {
+            g.fresh_boot = fresh;
+            for jobs in [1, 4] {
+                let opts = RunOptions::with_jobs(jobs);
+                let batch = crate::report::records_to_csv(&g.run_with(&opts).unwrap());
+                let mut calls = Vec::new();
+                let n = g
+                    .run_csv(&opts, |line| calls.push(line.to_string()))
+                    .unwrap();
+                assert_eq!(n, g.run_count());
+                assert_eq!(calls.len(), n + 1, "fresh_boot = {fresh}, jobs = {jobs}");
+                for line in &calls {
+                    assert!(line.ends_with('\n'), "{line:?}");
+                    assert_eq!(line.matches('\n').count(), 1, "{line:?}");
+                }
+                assert_eq!(calls.concat(), batch, "fresh_boot = {fresh}, jobs = {jobs}");
+            }
         }
     }
 

@@ -1,5 +1,12 @@
 //! Plain-text rendering of experiment results: ASCII tables, box plots,
 //! violins and scatter sketches, plus CSV export for external plotting.
+//!
+//! [`write_csv_line`] is the single CSV serializer: every CSV path
+//! ([`records_to_csv`], [`record_to_csv_line`], the streaming
+//! [`crate::grid::Grid::run_csv`] and the experiments' row artifacts)
+//! appends records through it, without `core::fmt`. Its decimal writer
+//! also backs countd's record encoding
+//! ([`crate::wire::encode_record_into`]).
 
 use counterlab_stats::boxplot::BoxPlot;
 use counterlab_stats::kde::Kde;
@@ -182,7 +189,7 @@ pub fn scatter_text(points: &[(f64, f64)], width: usize, height: usize) -> Strin
 pub fn records_to_csv(records: &[Record]) -> String {
     let mut out = String::from(CSV_HEADER);
     for r in records {
-        out.push_str(&record_to_csv_line(r));
+        write_csv_line(&mut out, r);
     }
     out
 }
@@ -192,34 +199,265 @@ pub fn records_to_csv(records: &[Record]) -> String {
 pub const CSV_HEADER: &str =
     "processor,interface,pattern,opt_level,counters,tsc,mode,event,benchmark,iters,measured,expected,error\n";
 
+/// Initial capacity of a buffer meant to hold one CSV or wire line:
+/// enough for every record the grids produce, so a line buffer is
+/// allocated once and never grows.
+pub(crate) const LINE_CAPACITY: usize = 128;
+
 /// One record's CSV line (newline-terminated), exactly as
-/// [`records_to_csv`] serializes it.
+/// [`records_to_csv`] serializes it. Allocates a fresh `String`; loops
+/// should reuse one buffer with [`write_csv_line`] instead.
 pub fn record_to_csv_line(r: &Record) -> String {
-    format!(
-        "{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-        r.config.processor,
-        r.config.interface,
-        r.config.pattern.code(),
-        r.config.opt_level.level(),
-        r.config.counters,
-        r.config.tsc_on,
-        r.config.mode,
-        r.config.event,
-        r.benchmark.name(),
-        r.benchmark.iterations(),
-        r.measured,
-        r.expected,
-        r.error()
-    )
+    let mut line = String::with_capacity(LINE_CAPACITY);
+    write_csv_line(&mut line, r);
+    line
+}
+
+/// Appends one record's CSV line (newline-terminated) to `out`.
+///
+/// This is the single CSV serializer: [`records_to_csv`],
+/// [`record_to_csv_line`] and [`crate::grid::Grid::run_csv`] all write
+/// through it. Fields are the enums' `&'static str` codes and decimal
+/// integers written without `core::fmt`, so a line costs no allocation
+/// once `out` has room for it.
+pub fn write_csv_line(out: &mut String, r: &Record) {
+    let c = &r.config;
+    for code in [c.processor.code(), c.interface.code(), c.pattern.code()] {
+        out.push_str(code);
+        out.push(',');
+    }
+    push_u64(out, c.opt_level.level());
+    out.push(',');
+    push_usize(out, c.counters);
+    out.push_str(if c.tsc_on { ",true," } else { ",false," });
+    for code in [c.mode.label(), c.event.name(), r.benchmark.name()] {
+        out.push_str(code);
+        out.push(',');
+    }
+    for n in [r.benchmark.iterations(), r.measured, r.expected] {
+        push_u64(out, n);
+        out.push(',');
+    }
+    push_i64(out, r.error());
+    out.push('\n');
+}
+
+/// Appends `n` in decimal, byte-identical to its `Display`.
+pub(crate) fn push_u64(out: &mut String, mut n: u64) {
+    // u64::MAX has 20 digits.
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
+/// Appends `n` in decimal, byte-identical to its `Display`.
+pub(crate) fn push_usize(out: &mut String, n: usize) {
+    // usize is at most 64 bits on every target Rust supports.
+    push_u64(out, n as u64);
+}
+
+/// Appends `n` in decimal, byte-identical to its `Display`; `i64::MIN`
+/// is written through its unsigned magnitude, so it cannot overflow.
+pub(crate) fn push_i64(out: &mut String, n: i64) {
+    if n < 0 {
+        out.push('-');
+    }
+    push_u64(out, n.unsigned_abs());
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::benchmark::Benchmark;
-    use crate::config::MeasurementConfig;
-    use crate::interface::Interface;
+    use crate::config::{MeasurementConfig, OptLevel};
+    use crate::interface::{CountingMode, Interface};
+    use crate::pattern::Pattern;
+    use counterlab_cpu::pmu::Event;
     use counterlab_cpu::uarch::Processor;
+    use proptest::prelude::*;
+
+    /// The `core::fmt` line builder [`write_csv_line`] replaced, kept as
+    /// the byte-for-byte reference it must match.
+    fn reference_csv_line(r: &Record) -> String {
+        format!(
+            "{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
+            r.config.processor,
+            r.config.interface,
+            r.config.pattern.code(),
+            r.config.opt_level.level(),
+            r.config.counters,
+            r.config.tsc_on,
+            r.config.mode,
+            r.config.event,
+            r.benchmark.name(),
+            r.benchmark.iterations(),
+            r.measured,
+            r.expected,
+            r.error()
+        )
+    }
+
+    /// `(measured, expected)` pairs at the decimal edges: 0, 1, 9, 10 and
+    /// `u64::MAX` counts, and zero, negative, `i64::MIN` and `i64::MAX`
+    /// errors.
+    const COUNT_EDGES: [(u64, u64); 11] = [
+        (0, 0),
+        (1, 0),
+        (9, 1),
+        (10, 9),
+        (0, 10),
+        (9, 10),
+        (u64::MAX, u64::MAX),
+        (u64::MAX, 0),
+        (10, u64::MAX),
+        (1 << 63, 0),
+        (i64::MAX as u64, 0),
+    ];
+
+    /// Every processor × interface × pattern × mode × event × zoo
+    /// benchmark, with the count edges and edge values of the remaining
+    /// fields cycled through the sequence.
+    pub(crate) fn record_space() -> Vec<Record> {
+        let mut out = Vec::new();
+        for processor in Processor::ALL {
+            for interface in Interface::ALL {
+                for pattern in Pattern::ALL {
+                    for mode in CountingMode::ALL {
+                        for event in Event::ALL {
+                            // `cell` cycles the fields the zoo loop shares.
+                            let cell = out.len() / 8;
+                            for benchmark in Benchmark::zoo([1, 10, 80, u64::MAX][cell % 4]) {
+                                let k = out.len();
+                                let (measured, expected) = COUNT_EDGES[k % COUNT_EDGES.len()];
+                                let config = MeasurementConfig {
+                                    processor,
+                                    interface,
+                                    pattern,
+                                    opt_level: OptLevel::ALL[cell % 4],
+                                    counters: [0, 1, 9, 10, usize::MAX][k % 5],
+                                    tsc_on: cell % 2 == 0,
+                                    mode,
+                                    event,
+                                    seed: [0, 9, 10, u64::MAX][k % 4],
+                                    hz: [0, 1, 250, u32::MAX][(k / 3) % 4],
+                                };
+                                out.push(Record {
+                                    config,
+                                    benchmark,
+                                    measured,
+                                    expected,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// A `u64` with a uniformly drawn bit width, so short and long
+    /// decimal forms are equally likely.
+    fn arb_u64() -> impl Strategy<Value = u64> {
+        (any::<u64>(), 0u32..=64).prop_map(|(v, bits)| v.checked_shr(64 - bits).unwrap_or(0))
+    }
+
+    /// Any record whose `error()` is representable: a point of
+    /// [`record_space`] with every numeric field drawn afresh.
+    pub(crate) fn arb_record() -> impl Strategy<Value = Record> {
+        let space = record_space();
+        let numbers = (
+            arb_u64(),
+            arb_u64(),
+            any::<u32>(),
+            arb_u64(),
+            arb_u64(),
+            arb_u64(),
+        );
+        (0..space.len(), any::<bool>(), numbers)
+            .prop_map(
+                move |(k, tsc_on, (counters, seed, hz, iters, measured, expected))| {
+                    let config = MeasurementConfig {
+                        counters: counters as usize,
+                        tsc_on,
+                        seed,
+                        hz,
+                        ..space[k].config
+                    };
+                    // The zoo is record_space's innermost loop.
+                    let benchmark = Benchmark::zoo(iters)[k % 8];
+                    Record {
+                        config,
+                        benchmark,
+                        measured,
+                        expected,
+                    }
+                },
+            )
+            .prop_filter("error() overflows i64", |r| {
+                (r.measured as i64).checked_sub(r.expected as i64).is_some()
+            })
+    }
+
+    #[test]
+    fn decimal_writer_matches_display() {
+        let mut unsigned = vec![0, u64::MAX, u64::MAX - 1];
+        let mut p = 1u64;
+        while let Some(next) = p.checked_mul(10) {
+            unsigned.extend([p - 1, p, p + 1]);
+            p = next;
+        }
+        for n in unsigned {
+            let mut s = String::from("x");
+            push_u64(&mut s, n);
+            assert_eq!(s, format!("x{n}"));
+        }
+        for n in [0, 1, -1, 9, -9, 10, -10, i64::MAX, i64::MIN, i64::MIN + 1] {
+            let mut s = String::from("x");
+            push_i64(&mut s, n);
+            assert_eq!(s, format!("x{n}"));
+        }
+    }
+
+    #[test]
+    fn csv_writer_matches_fmt_reference_over_the_record_space() {
+        let records = record_space();
+        assert_eq!(records.len(), 3 * 6 * 4 * 3 * 7 * 8);
+        let mut batch = String::from(CSV_HEADER);
+        for r in &records {
+            let reference = reference_csv_line(r);
+            // Appends after what the buffer already holds.
+            let mut line = String::from("kept,");
+            write_csv_line(&mut line, r);
+            assert_eq!(
+                line.strip_prefix("kept,"),
+                Some(reference.as_str()),
+                "{r:?}"
+            );
+            assert_eq!(record_to_csv_line(r), reference);
+            batch.push_str(&reference);
+        }
+        assert!(records_to_csv(&records) == batch);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn csv_writer_matches_fmt_reference(r in arb_record(), prefix in arb_u64()) {
+            let mut line = prefix.to_string();
+            write_csv_line(&mut line, &r);
+            prop_assert_eq!(line, format!("{prefix}{}", reference_csv_line(&r)));
+        }
+    }
 
     #[test]
     fn table_alignment() {

@@ -781,7 +781,7 @@ fn handle_grid<W: Write>(
                 grid.run_cell(&cell).map(|records| {
                     let mut block = String::new();
                     for record in &records {
-                        block.push_str(&wire::encode_record(record));
+                        wire::encode_record_into(&mut block, record);
                     }
                     Arc::new(block)
                 })

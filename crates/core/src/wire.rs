@@ -50,6 +50,7 @@ use crate::grid::Grid;
 use crate::interface::{CountingMode, Interface};
 use crate::measure::Record;
 use crate::pattern::Pattern;
+use crate::report;
 use crate::{CoreError, Result};
 
 /// Version token opening every protocol line. See the module docs for
@@ -173,25 +174,42 @@ fn to_count(field: &'static str, value: u64) -> Result<usize> {
 /// `processor,interface,pattern,opt_level,counters,tsc,mode,event,seed,hz,bench,bench_iters,measured,expected`.
 /// Unlike the report CSV this includes `seed` and `hz`: the line carries
 /// the record's complete identity, so decoding reproduces it bit-exactly.
+/// Allocates a fresh `String`; loops should append with
+/// [`encode_record_into`] instead.
 pub fn encode_record(record: &Record) -> String {
+    let mut line = String::with_capacity(report::LINE_CAPACITY);
+    encode_record_into(&mut line, record);
+    line
+}
+
+/// Appends the [`encode_record`] line of `record` to `out`, without
+/// `core::fmt` (the decimal writer of [`report::write_csv_line`]).
+pub fn encode_record_into(out: &mut String, record: &Record) {
     let c = &record.config;
-    format!(
-        "{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-        c.processor.code(),
-        c.interface.code(),
-        c.pattern.code(),
-        c.opt_level.level(),
-        c.counters,
-        u8::from(c.tsc_on),
-        c.mode.label(),
-        c.event.name(),
-        c.seed,
-        c.hz,
-        record.benchmark.name(),
-        record.benchmark.iterations(),
-        record.measured,
-        record.expected,
-    )
+    for code in [c.processor.code(), c.interface.code(), c.pattern.code()] {
+        out.push_str(code);
+        out.push(',');
+    }
+    report::push_u64(out, c.opt_level.level());
+    out.push(',');
+    report::push_usize(out, c.counters);
+    out.push_str(if c.tsc_on { ",1," } else { ",0," });
+    out.push_str(c.mode.label());
+    out.push(',');
+    out.push_str(c.event.name());
+    out.push(',');
+    report::push_u64(out, c.seed);
+    out.push(',');
+    report::push_u64(out, u64::from(c.hz));
+    out.push(',');
+    out.push_str(record.benchmark.name());
+    out.push(',');
+    report::push_u64(out, record.benchmark.iterations());
+    out.push(',');
+    report::push_u64(out, record.measured);
+    out.push(',');
+    report::push_u64(out, record.expected);
+    out.push('\n');
 }
 
 /// Decodes one line produced by [`encode_record`] (trailing newline
@@ -1104,6 +1122,60 @@ mod tests {
     use super::*;
     use crate::exec::RunOptions;
     use crate::measure::run_measurement;
+    use crate::report::tests::{arb_record, record_space};
+    use proptest::prelude::*;
+
+    /// The `core::fmt` encoder [`encode_record_into`] replaced, kept as
+    /// the byte-for-byte reference it must match.
+    fn reference_encode_record(record: &Record) -> String {
+        let c = &record.config;
+        format!(
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
+            c.processor.code(),
+            c.interface.code(),
+            c.pattern.code(),
+            c.opt_level.level(),
+            c.counters,
+            u8::from(c.tsc_on),
+            c.mode.label(),
+            c.event.name(),
+            c.seed,
+            c.hz,
+            record.benchmark.name(),
+            record.benchmark.iterations(),
+            record.measured,
+            record.expected,
+        )
+    }
+
+    #[test]
+    fn encoder_matches_fmt_reference_over_the_record_space() {
+        for record in record_space() {
+            let reference = reference_encode_record(&record);
+            // Appends after what the buffer already holds.
+            let mut line = String::from("kept\n");
+            encode_record_into(&mut line, &record);
+            assert_eq!(
+                line.strip_prefix("kept\n"),
+                Some(reference.as_str()),
+                "{record:?}"
+            );
+            assert_eq!(encode_record(&record), reference);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn encoder_matches_fmt_reference(record in arb_record(), reps in 1usize..4) {
+            let mut block = String::new();
+            for _ in 0..reps {
+                encode_record_into(&mut block, &record);
+            }
+            prop_assert_eq!(block, reference_encode_record(&record).repeat(reps));
+        }
+    }
 
     fn sample_grid() -> Grid {
         let mut g = Grid::new(Benchmark::Null);

@@ -35,7 +35,7 @@ fn local_body(grid: &Grid) -> String {
     let records = grid.run_with(&RunOptions::sequential()).expect("local run");
     let mut body = String::new();
     for record in &records {
-        body.push_str(&wire::encode_record(record));
+        wire::encode_record_into(&mut body, record);
     }
     body
 }
