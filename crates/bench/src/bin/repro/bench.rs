@@ -42,6 +42,8 @@
 //! the session path performs an order of magnitude fewer allocations per
 //! repetition than the fresh-boot path.
 
+#![expect(clippy::disallowed_methods, reason = "a benchmark's timings are wall-clock reads")]
+
 use std::path::Path;
 use std::time::Instant;
 
@@ -59,16 +61,17 @@ mod alloc_count {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    // Relaxed throughout: an allocation tally read only after the timed
+    // section joins; per-call ordering is irrelevant.
     static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
     struct Counting;
 
-    #[allow(unsafe_code)]
+    #[expect(unsafe_code, reason = "a GlobalAlloc impl is unsafe by definition")]
     // SAFETY: every method delegates directly to the system allocator
     // with the caller's layout; the counter is side-effect-free.
     unsafe impl GlobalAlloc for Counting {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            // countlint: allow(undocumented-relaxed-atomic) -- allocation tally read only after the timed section joins; per-call ordering is irrelevant
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             System.alloc(layout)
         }
@@ -78,13 +81,11 @@ mod alloc_count {
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            // countlint: allow(undocumented-relaxed-atomic) -- allocation tally read only after the timed section joins; per-call ordering is irrelevant
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             System.realloc(ptr, layout, new_size)
         }
 
         unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            // countlint: allow(undocumented-relaxed-atomic) -- allocation tally read only after the timed section joins; per-call ordering is irrelevant
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             System.alloc_zeroed(layout)
         }
@@ -95,7 +96,6 @@ mod alloc_count {
 
     /// Allocation calls since process start.
     pub fn allocations() -> u64 {
-        // countlint: allow(undocumented-relaxed-atomic) -- allocation tally read only after the timed section joins; per-call ordering is irrelevant
         ALLOCS.load(Ordering::Relaxed)
     }
 }

@@ -467,7 +467,7 @@ fn run_serve(
 }
 
 /// `repro client` — one request against a running countd.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one argument per parsed client flag")]
 fn run_client(
     addr: &str,
     action: &str,

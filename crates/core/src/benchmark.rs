@@ -361,6 +361,38 @@ mod tests {
     use counterlab_cpu::uarch::Processor;
     use counterlab_kernel::config::{KernelConfig, SkidModel};
 
+    /// No wildcard arm: a new variant fails to compile here until it has
+    /// an arm, and each arm asserts that `Benchmark::zoo` includes it.
+    #[test]
+    fn zoo_lists_every_variant() {
+        let zoo = Benchmark::zoo(64);
+        let in_zoo = |b: Benchmark| {
+            let d = std::mem::discriminant(&b);
+            zoo.iter().any(|z| std::mem::discriminant(z) == d)
+        };
+        for b in [
+            Benchmark::Null,
+            Benchmark::Loop { iters: 1 },
+            Benchmark::ArrayWalk { iters: 1 },
+            Benchmark::PointerChase { iters: 1 },
+            Benchmark::Branchy { iters: 1 },
+            Benchmark::StoreStream { iters: 1 },
+            Benchmark::SyscallHeavy { iters: 1 },
+            Benchmark::NestedLoop { iters: 1 },
+        ] {
+            match b {
+                Benchmark::Null => assert!(in_zoo(b)),
+                Benchmark::Loop { .. } => assert!(in_zoo(b)),
+                Benchmark::ArrayWalk { .. } => assert!(in_zoo(b)),
+                Benchmark::PointerChase { .. } => assert!(in_zoo(b)),
+                Benchmark::Branchy { .. } => assert!(in_zoo(b)),
+                Benchmark::StoreStream { .. } => assert!(in_zoo(b)),
+                Benchmark::SyscallHeavy { .. } => assert!(in_zoo(b)),
+                Benchmark::NestedLoop { .. } => assert!(in_zoo(b)),
+            }
+        }
+    }
+
     fn quiet_sys() -> System {
         System::new(
             Processor::AthlonK8,
@@ -509,7 +541,7 @@ mod tests {
         );
         assert_eq!(Benchmark::NestedLoop { iters: 9 }.name(), "nestedloop");
         // Names are unique across the zoo (they key wire cell identity).
-        let names: std::collections::HashSet<&str> =
+        let names: std::collections::BTreeSet<&str> =
             Benchmark::zoo(8).iter().map(|b| b.name()).collect();
         assert_eq!(names.len(), 8);
     }

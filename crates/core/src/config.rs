@@ -166,6 +166,20 @@ impl MeasurementConfig {
 mod tests {
     use super::*;
 
+    /// No wildcard arm: a new variant fails to compile here until it has
+    /// an arm, and each arm asserts that the `ALL` roster lists it.
+    #[test]
+    fn all_lists_every_variant() {
+        for v in [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3] {
+            match v {
+                OptLevel::O0 => assert!(OptLevel::ALL.contains(&OptLevel::O0)),
+                OptLevel::O1 => assert!(OptLevel::ALL.contains(&OptLevel::O1)),
+                OptLevel::O2 => assert!(OptLevel::ALL.contains(&OptLevel::O2)),
+                OptLevel::O3 => assert!(OptLevel::ALL.contains(&OptLevel::O3)),
+            }
+        }
+    }
+
     #[test]
     fn opt_levels() {
         assert_eq!(OptLevel::ALL.len(), 4);

@@ -13,6 +13,10 @@
 //! the first failure (by index, not by wall clock) is propagated after
 //! in-flight work drains.
 
+// Serving path: a panic here kills a countd worker or a whole sweep, so every
+// unwrap, expect, index or panic carries an `#[expect]` with its proof.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
+
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -134,6 +138,7 @@ impl<'a> RunOptions<'a> {
 /// # Errors
 ///
 /// The lowest-index error produced by `work`.
+#[expect(clippy::expect_used, reason = "a lost claimed index is an engine bug; abort, not drop")]
 pub fn run_indexed<'a, T, F>(total: usize, opts: &RunOptions<'a>, work: F) -> Result<Vec<T>>
 where
     T: Send,
@@ -165,7 +170,9 @@ where
             if stop.load(Ordering::Acquire) {
                 break;
             }
-            // countlint: allow(undocumented-relaxed-atomic) -- unique-index dispenser: only per-index uniqueness matters (any RMW ordering gives it); results are published by thread join, not by this atomic
+            // Relaxed: a unique-index dispenser; only per-index uniqueness
+            // matters (any RMW ordering gives it). Results are published by
+            // thread join, not by this atomic.
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= total {
                 break;
@@ -173,7 +180,8 @@ where
             match work(i) {
                 Ok(value) => {
                     local.push((i, value));
-                    // countlint: allow(undocumented-relaxed-atomic) -- monotone progress counter consumed as a high-water mark; no data is published under it
+                    // Relaxed: a monotone progress counter consumed as a
+                    // high-water mark; no data is published under it.
                     let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
                     if let Some(progress) = opts.progress {
                         progress(done, total);
@@ -201,7 +209,7 @@ where
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..jobs).map(|_| scope.spawn(worker)).collect();
         for handle in handles {
-            // countlint: allow(panic-in-serving-path) -- a worker panicked: the sweep is already lost and re-raising the panic at join is the correct propagation
+            #[expect(clippy::expect_used, reason = "re-raise a worker panic: the sweep is lost")]
             parts.push(handle.join().expect("engine worker panicked"));
         }
     });
@@ -220,7 +228,6 @@ where
     }
     Ok(slots
         .into_iter()
-        // countlint: allow(panic-in-serving-path) -- an empty slot means the engine lost a claimed index entirely; that bug must abort, silently dropping results would corrupt every downstream artifact
         .map(|slot| slot.expect("every index ran to completion"))
         .collect())
 }
@@ -286,14 +293,17 @@ where
             if stop.load(Ordering::Acquire) {
                 break;
             }
-            // countlint: allow(undocumented-relaxed-atomic) -- unique-index dispenser: only per-index uniqueness matters (any RMW ordering gives it); results are published by thread join, not by this atomic
+            // Relaxed: a unique-index dispenser; only per-index uniqueness
+            // matters (any RMW ordering gives it). Results are published by
+            // thread join, not by this atomic.
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= total {
                 break;
             }
             match work(i, &mut shard) {
                 Ok(()) => {
-                    // countlint: allow(undocumented-relaxed-atomic) -- monotone progress counter consumed as a high-water mark; no data is published under it
+                    // Relaxed: a monotone progress counter consumed as a
+                    // high-water mark; no data is published under it.
                     let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
                     if let Some(progress) = opts.progress {
                         progress(done, total);
@@ -323,7 +333,7 @@ where
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..jobs).map(|_| scope.spawn(worker)).collect();
         for handle in handles {
-            // countlint: allow(panic-in-serving-path) -- a worker panicked: the sweep is already lost and re-raising the panic at join is the correct propagation
+            #[expect(clippy::expect_used, reason = "re-raise a worker panic: the sweep is lost")]
             shards.push(handle.join().expect("engine worker panicked"));
         }
     });
@@ -409,7 +419,8 @@ where
             for rep in first_rep..first_rep + len {
                 out.push(work(&mut st, cell * reps + rep)?);
                 if let Some(progress) = opts.progress {
-                    // countlint: allow(undocumented-relaxed-atomic) -- monotone progress counter consumed as a high-water mark; no data is published under it
+                    // Relaxed: a monotone progress counter consumed as a
+                    // high-water mark; no data is published under it.
                     progress(completed.fetch_add(1, Ordering::Relaxed) + 1, total);
                 }
             }
@@ -547,13 +558,13 @@ impl PriorityPool {
             }),
             ready: Condvar::new(),
         });
+        #[expect(clippy::expect_used, reason = "startup only: no threads means no serving")]
         let handles = (0..workers)
             .map(|n| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("countd-worker-{n}"))
                     .spawn(move || Self::worker_loop(&shared))
-                    // countlint: allow(panic-in-serving-path) -- pool construction happens at server startup, before any request is in flight; a host that cannot spawn threads cannot serve at all
                     .expect("spawn pool worker")
             })
             .collect();

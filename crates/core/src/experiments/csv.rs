@@ -33,7 +33,8 @@ pub fn csv_artifact(grid: Grid, mode: EngineMode, jobs: usize, progress: bool) -
             let last_decile = AtomicUsize::new(0);
             let report_decile = move |done: usize, total: usize| {
                 let decile = done * 10 / total.max(1);
-                // countlint: allow(undocumented-relaxed-atomic) -- monotone high-water mark gating progress prints only; duplicates or skips cost a log line, never a result
+                // Relaxed: a monotone high-water mark gating progress prints
+                // only; duplicates or skips cost a log line, never a result.
                 if last_decile.fetch_max(decile, Ordering::Relaxed) < decile {
                     eprintln!("csv: {}% ({done}/{total})", decile * 10);
                 }

@@ -24,10 +24,11 @@
 //! [`StreamHasher`]: counterlab_cpu::hash::StreamHasher
 
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use counterlab_cpu::hash::StreamHasher;
+
+use crate::counter::StatCounter;
 
 /// A fault injected into one wire response, decided once per response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,9 +81,9 @@ pub enum DiskFault {
 pub struct FaultPlan {
     seed: u64,
     rate_permille: u64,
-    wire_seq: AtomicU64,
-    disk_seq: AtomicU64,
-    worker_seq: AtomicU64,
+    wire_seq: StatCounter,
+    disk_seq: StatCounter,
+    worker_seq: StatCounter,
 }
 
 impl FaultPlan {
@@ -91,9 +92,9 @@ impl FaultPlan {
         FaultPlan {
             seed,
             rate_permille: rate_permille.min(1000),
-            wire_seq: AtomicU64::new(0),
-            disk_seq: AtomicU64::new(0),
-            worker_seq: AtomicU64::new(0),
+            wire_seq: StatCounter::new(),
+            disk_seq: StatCounter::new(),
+            worker_seq: StatCounter::new(),
         }
     }
 
@@ -118,17 +119,9 @@ impl FaultPlan {
         h.finish()
     }
 
-    /// Next per-site sequence number. `Relaxed` is sound: the counter
-    /// only individuates injection decisions — no data is published
-    /// under it, and uniqueness is all the schedule needs.
-    fn next_seq(seq: &AtomicU64) -> u64 {
-        // countlint: allow(undocumented-relaxed-atomic) -- sequence dispenser for fault decisions; nothing is published under it
-        seq.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Decides the fault (if any) for the next wire response.
     pub fn wire_fault(&self) -> Option<WireFault> {
-        let h = self.roll("wire", Self::next_seq(&self.wire_seq));
+        let h = self.roll("wire", self.wire_seq.incr());
         if h % 1000 >= self.rate_permille {
             return None;
         }
@@ -145,7 +138,7 @@ impl FaultPlan {
 
     /// Decides the fault (if any) for the next disk-cache entry write.
     pub fn disk_fault(&self) -> Option<DiskFault> {
-        let h = self.roll("disk", Self::next_seq(&self.disk_seq));
+        let h = self.roll("disk", self.disk_seq.incr());
         if h % 1000 >= self.rate_permille {
             return None;
         }
@@ -159,7 +152,7 @@ impl FaultPlan {
     /// Decides whether the next worker-side cell computation fails
     /// transiently (surfaced to the client as a retryable `BUSY`).
     pub fn worker_fault(&self) -> bool {
-        let h = self.roll("worker", Self::next_seq(&self.worker_seq));
+        let h = self.roll("worker", self.worker_seq.incr());
         h % 1000 < self.rate_permille
     }
 }

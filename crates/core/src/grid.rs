@@ -7,6 +7,10 @@
 //! processor has, TSC-off on non-perfctr stacks) and runs every cell with
 //! deterministic per-cell seeds.
 
+// Serving path: a panic here kills a countd worker or a whole sweep, so every
+// unwrap, expect, index or panic carries an `#[expect]` with its proof.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
+
 use counterlab_cpu::pmu::Event;
 use counterlab_cpu::uarch::Processor;
 use counterlab_stats::descriptive::Summary;
@@ -201,6 +205,7 @@ impl Grid {
     /// [`crate::CoreError::ZeroCounters`] if the specification fails
     /// [`Grid::validate`]; otherwise propagates the lowest-index
     /// measurement failure (see [`exec::run_cell_chunked`]).
+    #[expect(clippy::indexing_slicing, reason = "the engine dispenses ci < cells.len()")]
     pub fn run_with(&self, opts: &RunOptions<'_>) -> Result<Vec<Record>> {
         self.validate()?;
         if self.fresh_boot {
@@ -212,10 +217,9 @@ impl Grid {
             self.reps,
             self.reps,
             opts,
-            // countlint: allow(panic-in-serving-path) -- ci < cells.len(): the engine dispenses cell indices below the count it was given
             |ci, first_rep| self.session_for(&cells[ci], first_rep),
             |session, i| {
-                // countlint: allow(panic-in-serving-path) -- i < cells.len() * reps by the engine's dispenser, so i / reps < cells.len()
+                #[expect(clippy::indexing_slicing, reason = "i < cells.len() * reps by dispenser")]
                 let cell = &cells[i / self.reps];
                 let seed = per_run_seed(self.base_seed, cell, i % self.reps);
                 session.run(seed)
@@ -248,7 +252,7 @@ impl Grid {
             opts,
             |_, _| Ok(()),
             |(), i| {
-                // countlint: allow(panic-in-serving-path) -- i < cells.len() * reps by the engine's dispenser, so i / reps < cells.len()
+                #[expect(clippy::indexing_slicing, reason = "i < cells.len() * reps by dispenser")]
                 let cell = &cells[i / self.reps];
                 let rep = i % self.reps;
                 let seed = per_run_seed(self.base_seed, cell, rep);
@@ -339,7 +343,7 @@ impl Grid {
         }
         let cells: Vec<MeasurementConfig> = self.cells().collect();
         let accs = exec::run_indexed(cells.len(), opts, |ci| {
-            // countlint: allow(panic-in-serving-path) -- ci < cells.len(): the engine dispenses cell indices below the count it was given
+            #[expect(clippy::indexing_slicing, reason = "the engine dispenses ci < cells.len()")]
             let cell = &cells[ci];
             let mut acc = init(cell);
             if self.reps > 0 {
@@ -377,7 +381,7 @@ impl Grid {
         self.validate()?;
         let cells: Vec<MeasurementConfig> = self.cells().collect();
         let accs = exec::run_indexed(cells.len(), opts, |ci| {
-            // countlint: allow(panic-in-serving-path) -- ci < cells.len(): the engine dispenses cell indices below the count it was given
+            #[expect(clippy::indexing_slicing, reason = "the engine dispenses ci < cells.len()")]
             let cell = &cells[ci];
             let mut acc = init(cell);
             for rep in 0..self.reps {
@@ -459,7 +463,7 @@ impl Grid {
                 total,
                 opts,
                 |i| {
-                    // countlint: allow(panic-in-serving-path) -- i < cells.len() * reps by the engine's dispenser, so i / reps < cells.len()
+                    #[expect(clippy::indexing_slicing, reason = "engine dispenses i < len * reps")]
                     let cell = &cells[i / self.reps];
                     let rep = i % self.reps;
                     let seed = per_run_seed(self.base_seed, cell, rep);
@@ -480,6 +484,7 @@ impl Grid {
         let mut start = 0usize;
         while start < cells.len() {
             let len = CSV_CELL_BATCH.min(cells.len() - start);
+            #[expect(clippy::indexing_slicing, reason = "batch length is clamped to len - start")]
             let records = exec::run_cell_chunked(
                 len,
                 self.reps,
@@ -488,10 +493,9 @@ impl Grid {
                     jobs: opts.effective_jobs(total),
                     progress: None,
                 },
-                // countlint: allow(panic-in-serving-path) -- start + c < cells.len(): the batch length is clamped to cells.len() - start
                 |c, first_rep| self.session_for(&cells[start + c], first_rep),
                 |session, i| {
-                    // countlint: allow(panic-in-serving-path) -- start + i / reps < cells.len(): i ranges over the clamped batch
+                    #[expect(clippy::indexing_slicing, reason = "i ranges over the clamped batch")]
                     let cell = &cells[start + i / self.reps];
                     let seed = per_run_seed(self.base_seed, cell, i % self.reps);
                     session.run(seed)
@@ -602,7 +606,7 @@ mod tests {
     fn per_run_seeds_differ() {
         let g = Grid::new(Benchmark::Null);
         let cell = g.cells().next().unwrap();
-        let s: std::collections::HashSet<u64> =
+        let s: std::collections::BTreeSet<u64> =
             (0..50).map(|rep| per_run_seed(1, &cell, rep)).collect();
         assert_eq!(s.len(), 50);
     }

@@ -452,6 +452,48 @@ mod tests {
     use super::*;
     use counterlab_kernel::config::SkidModel;
 
+    /// No wildcard arm: a new variant fails to compile here until it has
+    /// an arm, and each arm asserts that the `ALL` roster lists it.
+    #[test]
+    fn interface_all_lists_every_variant() {
+        for v in [
+            Interface::Pm,
+            Interface::Pc,
+            Interface::PLpm,
+            Interface::PLpc,
+            Interface::PHpm,
+            Interface::PHpc,
+        ] {
+            match v {
+                Interface::Pm => assert!(Interface::ALL.contains(&Interface::Pm)),
+                Interface::Pc => assert!(Interface::ALL.contains(&Interface::Pc)),
+                Interface::PLpm => assert!(Interface::ALL.contains(&Interface::PLpm)),
+                Interface::PLpc => assert!(Interface::ALL.contains(&Interface::PLpc)),
+                Interface::PHpm => assert!(Interface::ALL.contains(&Interface::PHpm)),
+                Interface::PHpc => assert!(Interface::ALL.contains(&Interface::PHpc)),
+            }
+        }
+    }
+
+    /// No wildcard arm: a new variant fails to compile here until it has
+    /// an arm, and each arm asserts that the `ALL` roster lists it.
+    #[test]
+    fn counting_mode_all_lists_every_variant() {
+        for v in [
+            CountingMode::User,
+            CountingMode::Kernel,
+            CountingMode::UserKernel,
+        ] {
+            match v {
+                CountingMode::User => assert!(CountingMode::ALL.contains(&CountingMode::User)),
+                CountingMode::Kernel => assert!(CountingMode::ALL.contains(&CountingMode::Kernel)),
+                CountingMode::UserKernel => {
+                    assert!(CountingMode::ALL.contains(&CountingMode::UserKernel))
+                }
+            }
+        }
+    }
+
     fn quiet() -> KernelConfig {
         KernelConfig::default()
             .with_hz(0)

@@ -63,6 +63,7 @@
 pub mod benchmark;
 pub mod compensation;
 pub mod config;
+pub mod counter;
 pub mod exec;
 pub mod experiment;
 pub mod experiments;

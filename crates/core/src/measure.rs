@@ -17,6 +17,10 @@
 //!   their per-run seed, so paying the full boot per repetition was pure
 //!   overhead.
 
+// Serving path: a panic here kills a countd worker or a whole sweep, so every
+// unwrap, expect, index or panic carries an `#[expect]` with its proof.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
+
 use counterlab_cpu::layout::{BuildFingerprint, CodePlacement};
 use counterlab_cpu::pmu::Event;
 use counterlab_kernel::config::KernelConfig;
@@ -573,7 +577,7 @@ mod tests {
         let ev = event_selection(Event::InstructionsRetired, 4);
         assert_eq!(ev.len(), 4);
         assert_eq!(ev[0], Event::InstructionsRetired);
-        let set: std::collections::HashSet<_> = ev.iter().collect();
+        let set: std::collections::BTreeSet<_> = ev.iter().collect();
         assert_eq!(set.len(), 4);
     }
 

@@ -79,6 +79,25 @@ impl std::fmt::Display for Pattern {
 mod tests {
     use super::*;
 
+    /// No wildcard arm: a new variant fails to compile here until it has
+    /// an arm, and each arm asserts that the `ALL` roster lists it.
+    #[test]
+    fn all_lists_every_variant() {
+        for v in [
+            Pattern::StartRead,
+            Pattern::StartStop,
+            Pattern::ReadRead,
+            Pattern::ReadStop,
+        ] {
+            match v {
+                Pattern::StartRead => assert!(Pattern::ALL.contains(&Pattern::StartRead)),
+                Pattern::StartStop => assert!(Pattern::ALL.contains(&Pattern::StartStop)),
+                Pattern::ReadRead => assert!(Pattern::ALL.contains(&Pattern::ReadRead)),
+                Pattern::ReadStop => assert!(Pattern::ALL.contains(&Pattern::ReadStop)),
+            }
+        }
+    }
+
     #[test]
     fn codes_roundtrip() {
         for p in Pattern::ALL {

@@ -40,17 +40,25 @@
 //! so a retry is idempotent by construction. The whole plane is
 //! exercised by the seeded chaos suite via [`crate::fault::FaultPlan`].
 
+// Serving path: a panic here kills a countd worker or a whole sweep, so every
+// unwrap, expect, index or panic carries an `#[expect]` with its proof.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
+// Wire and dispatch code: a silently truncated count or a catch-all arm over
+// a protocol enum corrupts bytes without failing.
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
-// countlint: allow(wall-clock-in-core) -- deadline/backoff plumbing shapes availability only; no measurement result depends on the clock
 use std::time::{Duration, Instant};
 
 use crate::config::MeasurementConfig;
+use crate::counter::StatCounter;
 use crate::exec::{Priority, PriorityPool, RunOptions};
 use crate::experiment::{self, EngineMode, ExperimentCtx, Scale};
 use crate::fault::{DiskFault, FaultPlan, FaultWriter};
@@ -89,7 +97,7 @@ impl Default for CacheConfig {
 }
 
 /// Sequence number of disk-tier temp files, unique within the process.
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+static TMP_SEQ: StatCounter = StatCounter::new();
 
 struct MemEntry {
     payload: Arc<String>,
@@ -117,10 +125,10 @@ pub struct CellCache {
     fault: Option<Arc<FaultPlan>>,
     /// Files moved aside by the startup recovery scan.
     quarantined: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    disk_hits: AtomicU64,
-    poisoned: AtomicU64,
+    hits: StatCounter,
+    misses: StatCounter,
+    disk_hits: StatCounter,
+    poisoned: StatCounter,
 }
 
 impl CellCache {
@@ -145,10 +153,10 @@ impl CellCache {
             config,
             fault: None,
             quarantined,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            poisoned: AtomicU64::new(0),
+            hits: StatCounter::new(),
+            misses: StatCounter::new(),
+            disk_hits: StatCounter::new(),
+            poisoned: StatCounter::new(),
         })
     }
 
@@ -156,6 +164,10 @@ impl CellCache {
     /// is a cache of immutable payloads behind complete insert/evict
     /// operations, so the state a panicking thread left behind is at
     /// worst under-evicted — continuing can cost memory, never bytes.
+    ///
+    /// This is the only place the mutex is taken. Callers never take
+    /// another lock while the guard lives, so no lock order exists to
+    /// get wrong.
     fn lock_mem(&self) -> MutexGuard<'_, MemTier> {
         self.mem.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -176,22 +188,18 @@ impl CellCache {
             let clock = mem.clock;
             if let Some(entry) = mem.map.get_mut(&key) {
                 entry.stamp = clock;
-                // countlint: allow(undocumented-relaxed-atomic) -- independent stat counter; nothing is published under it
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.hits.incr();
                 return Some(Arc::clone(&entry.payload));
             }
         }
         if let Some(payload) = self.disk_read(key) {
-            // countlint: allow(undocumented-relaxed-atomic) -- independent stat counter; nothing is published under it
-            self.disk_hits.fetch_add(1, Ordering::Relaxed);
-            // countlint: allow(undocumented-relaxed-atomic) -- independent stat counter; nothing is published under it
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.disk_hits.incr();
+            self.hits.incr();
             let payload = Arc::new(payload);
             self.insert_mem(key, Arc::clone(&payload));
             return Some(payload);
         }
-        // countlint: allow(undocumented-relaxed-atomic) -- independent stat counter; nothing is published under it
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.misses.incr();
         None
     }
 
@@ -243,8 +251,7 @@ impl CellCache {
             None => {
                 // Corrupted (truncated write, bit rot, tampering):
                 // count it, drop it, let the caller recompute.
-                // countlint: allow(undocumented-relaxed-atomic) -- independent stat counter; nothing is published under it
-                self.poisoned.fetch_add(1, Ordering::Relaxed);
+                self.poisoned.incr();
                 let _ = std::fs::remove_file(&path);
                 None
             }
@@ -268,8 +275,7 @@ impl CellCache {
         // carries a per-process sequence number next to the pid: every
         // writer thread shares the pid, and two threads writing one key
         // through one temp file could tear each other's entry.
-        // countlint: allow(undocumented-relaxed-atomic) -- only uniqueness of the returned number matters; nothing is published under it
-        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let seq = TMP_SEQ.incr();
         let tmp = path.with_extension(format!("tmp.{:x}.{seq:x}", std::process::id()));
         let mut body = format!(
             "{} {:016x}\n{payload}",
@@ -317,14 +323,10 @@ impl CellCache {
 
     fn counters(&self) -> (u64, u64, u64, u64) {
         (
-            // countlint: allow(undocumented-relaxed-atomic) -- independent stat counter; nothing is published under it
-            self.hits.load(Ordering::Relaxed),
-            // countlint: allow(undocumented-relaxed-atomic) -- independent stat counter; nothing is published under it
-            self.misses.load(Ordering::Relaxed),
-            // countlint: allow(undocumented-relaxed-atomic) -- independent stat counter; nothing is published under it
-            self.disk_hits.load(Ordering::Relaxed),
-            // countlint: allow(undocumented-relaxed-atomic) -- independent stat counter; nothing is published under it
-            self.poisoned.load(Ordering::Relaxed),
+            self.hits.get(),
+            self.misses.get(),
+            self.disk_hits.get(),
+            self.poisoned.get(),
         )
     }
 }
@@ -432,10 +434,10 @@ struct ServerShared {
     cache: CellCache,
     addr: SocketAddr,
     stop: AtomicBool,
-    requests: AtomicU64,
-    grids: AtomicU64,
+    requests: StatCounter,
+    grids: StatCounter,
     /// Live connection gauge, bounded by `max_connections`.
-    active: AtomicU64,
+    active: StatCounter,
     read_timeout_ms: u64,
     write_timeout_ms: u64,
     request_deadline_ms: u64,
@@ -452,10 +454,8 @@ impl ServerShared {
         // cast- and panic-free either way.
         let wide = |n: usize| u64::try_from(n).unwrap_or(u64::MAX);
         ServeStats {
-            // countlint: allow(undocumented-relaxed-atomic) -- independent stat counter; nothing is published under it
-            requests: self.requests.load(Ordering::Relaxed),
-            // countlint: allow(undocumented-relaxed-atomic) -- independent stat counter; nothing is published under it
-            grids: self.grids.load(Ordering::Relaxed),
+            requests: self.requests.get(),
+            grids: self.grids.get(),
             hits,
             misses,
             disk_hits,
@@ -493,9 +493,9 @@ impl Server {
             cache,
             addr,
             stop: AtomicBool::new(false),
-            requests: AtomicU64::new(0),
-            grids: AtomicU64::new(0),
-            active: AtomicU64::new(0),
+            requests: StatCounter::new(),
+            grids: StatCounter::new(),
+            active: StatCounter::new(),
             read_timeout_ms: config.read_timeout_ms,
             write_timeout_ms: config.write_timeout_ms,
             request_deadline_ms: config.request_deadline_ms,
@@ -528,8 +528,7 @@ impl Server {
     /// to prove the server drains to zero after a faulted soak (no
     /// leaked handler threads); the value is advisory between reads.
     pub fn active_connections(&self) -> u64 {
-        // countlint: allow(undocumented-relaxed-atomic) -- connection gauge; read only for shedding and drain diagnostics, no data is published under it
-        self.shared.active.load(Ordering::Relaxed)
+        self.shared.active.get()
     }
 
     /// Files the startup recovery scan quarantined from the disk tier.
@@ -543,7 +542,7 @@ impl Server {
         self.shared.stop.store(true, Ordering::SeqCst);
         // Poke the (possibly blocked) acceptor with a throwaway
         // connection so it observes the flag.
-        // countlint: allow(unbounded-stream-in-serve) -- connect-and-drop shutdown poke; no I/O follows, nothing to deadline
+        #[expect(clippy::disallowed_methods, reason = "shutdown poke: connect, drop, no I/O")]
         let _ = TcpStream::connect(self.shared.addr);
         if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
@@ -576,16 +575,14 @@ struct ConnGuard {
 
 impl ConnGuard {
     fn new(shared: Arc<ServerShared>) -> ConnGuard {
-        // countlint: allow(undocumented-relaxed-atomic) -- connection gauge; read only for shedding and drain diagnostics, no data is published under it
-        shared.active.fetch_add(1, Ordering::Relaxed);
+        shared.active.add(1);
         ConnGuard { shared }
     }
 }
 
 impl Drop for ConnGuard {
     fn drop(&mut self) {
-        // countlint: allow(undocumented-relaxed-atomic) -- connection gauge; read only for shedding and drain diagnostics, no data is published under it
-        self.shared.active.fetch_sub(1, Ordering::Relaxed);
+        self.shared.active.sub(1);
     }
 }
 
@@ -616,20 +613,35 @@ fn shed_connection(stream: TcpStream, write_ms: u64) {
     let _ = writer.flush();
 }
 
+/// The sleep before the next `accept` after `errors` consecutive accept
+/// failures: none before the first, then 1 ms doubling to a 100 ms cap.
+/// A persistent error such as `EMFILE` then parks the acceptor instead
+/// of spinning a core, and a stop request is still seen within the cap.
+fn accept_backoff(errors: u32) -> Duration {
+    match errors {
+        0 => Duration::ZERO,
+        n => Duration::from_millis((1u64 << (n - 1).min(7)).min(100)),
+    }
+}
+
 fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
     let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
+    let mut errors = 0u32;
     while !shared.stop.load(Ordering::SeqCst) {
+        #[expect(clippy::disallowed_methods, reason = "accepted streams get deadlines before I/O")]
         let Ok((stream, _)) = listener.accept() else {
+            errors = errors.saturating_add(1);
+            thread::sleep(accept_backoff(errors));
             continue;
         };
+        errors = 0;
         if shared.stop.load(Ordering::SeqCst) {
             break; // `stream` is the shutdown poke.
         }
         // Load-shed above the connection cap rather than queueing
         // unboundedly: a typed BUSY tells well-behaved clients to back
         // off and retry.
-        // countlint: allow(undocumented-relaxed-atomic) -- connection gauge; read only for shedding and drain diagnostics, no data is published under it
-        if shared.active.load(Ordering::Relaxed) >= shared.max_connections {
+        if shared.active.get() >= shared.max_connections {
             shed_connection(stream, shared.write_timeout_ms);
             continue;
         }
@@ -675,8 +687,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<ServerShared>) {
             return;
         }
     };
-    // countlint: allow(undocumented-relaxed-atomic) -- independent stat counter; nothing is published under it
-    shared.requests.fetch_add(1, Ordering::Relaxed);
+    shared.requests.incr();
     let outcome = match request {
         Request::Ping => writeln!(writer, "{} OK kind=pong", wire::MAGIC).map_err(serr),
         Request::Stats => shared.stats().write(&mut writer).map_err(serr),
@@ -684,7 +695,9 @@ fn handle_connection(stream: TcpStream, shared: &Arc<ServerShared>) {
             let done = writeln!(writer, "{} OK kind=bye", wire::MAGIC).map_err(serr);
             let _ = writer.flush();
             shared.stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(shared.addr); // wake the acceptor
+            // Wake the acceptor.
+            #[expect(clippy::disallowed_methods, reason = "shutdown poke: connect, drop, no I/O")]
+            let _ = TcpStream::connect(shared.addr);
             done
         }
         Request::Grid { grid, priority } => handle_grid(&mut writer, shared, &grid, priority),
@@ -715,8 +728,7 @@ fn handle_grid<W: Write>(
     grid: &Grid,
     priority: Priority,
 ) -> Result<()> {
-    // countlint: allow(undocumented-relaxed-atomic) -- independent stat counter; nothing is published under it
-    shared.grids.fetch_add(1, Ordering::Relaxed);
+    shared.grids.incr();
     grid.validate()?;
     let cells: Vec<MeasurementConfig> = grid.cells().collect();
     let keys: Vec<u64> = cells
@@ -771,7 +783,8 @@ fn handle_grid<W: Write>(
         // racing workers.
         let injected = shared.fault.as_ref().is_some_and(|plan| plan.worker_fault());
         shared.pool.submit(priority, move || {
-            // countlint: allow(undocumented-relaxed-atomic) -- cancel is a monotone abandon flag; a stale read only delays the shed, never corrupts it
+            // Relaxed: cancel is a monotone abandon flag; a stale read only
+            // delays the shed, never corrupts it.
             if cancel.load(Ordering::Relaxed) {
                 return; // request already shed; don't waste the pool
             }
@@ -796,7 +809,7 @@ fn handle_grid<W: Write>(
     // Collect under the per-request compute deadline: on expiry the
     // remaining cells are abandoned (the cancel flag keeps unstarted
     // jobs from wasting workers) and the request is shed with BUSY.
-    // countlint: allow(wall-clock-in-core) -- request deadline accounting shapes availability only; no measurement result depends on the clock
+    #[expect(clippy::disallowed_methods, reason = "deadline accounting only; no result uses it")]
     let started = Instant::now();
     let deadline = deadline_of(shared.request_deadline_ms);
     let mut first_error: Option<(usize, CoreError)> = None;
@@ -927,7 +940,7 @@ impl Default for CallOptions {
 /// deadline runs out; fatal failures and successes return immediately.
 fn with_retry<T>(opts: &CallOptions, mut attempt: impl FnMut() -> Result<T>) -> Result<T> {
     use counterlab_cpu::hash::{seed_combine, splitmix64};
-    // countlint: allow(wall-clock-in-core) -- retry deadline accounting shapes availability only; no measurement result depends on the clock
+    #[expect(clippy::disallowed_methods, reason = "deadline accounting only; no result uses it")]
     let started = Instant::now();
     let deadline = deadline_of(opts.deadline_ms);
     let mut tries = 0u32;
@@ -962,6 +975,7 @@ fn connect_with(addr: &str, opts: &CallOptions) -> Result<TcpStream> {
         .map_err(|e| serr(format!("resolving {addr}: {e}")))?;
     let mut last: Option<std::io::Error> = None;
     for resolved in addrs {
+        #[expect(clippy::disallowed_methods, reason = "both deadlines are armed before return")]
         let connected = match timeout {
             Some(limit) => TcpStream::connect_timeout(&resolved, limit),
             None => TcpStream::connect(resolved),
@@ -1237,6 +1251,18 @@ pub fn corrupt_disk_entry(path: &Path) -> Result<()> {
 mod tests {
     use super::*;
     use crate::benchmark::Benchmark;
+
+    #[test]
+    fn accept_backoff_is_zero_then_monotone_and_capped() {
+        assert_eq!(accept_backoff(0), Duration::ZERO);
+        assert_eq!(accept_backoff(1), Duration::from_millis(1));
+        let cap = Duration::from_millis(100);
+        for errors in 1..64 {
+            assert!(accept_backoff(errors) <= accept_backoff(errors + 1));
+            assert!(accept_backoff(errors) <= cap);
+        }
+        assert_eq!(accept_backoff(u32::MAX), cap);
+    }
 
     fn tiny_grid() -> Grid {
         let mut g = Grid::new(Benchmark::Null);

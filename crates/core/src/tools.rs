@@ -189,6 +189,29 @@ mod tests {
     use crate::interface::CountingMode;
     use counterlab_cpu::uarch::Processor;
 
+    /// No wildcard arm: a new variant fails to compile here until it has
+    /// an arm, and each arm asserts that the `ALL` roster lists it.
+    #[test]
+    fn all_lists_every_variant() {
+        for v in [
+            StandaloneTool::Perfex,
+            StandaloneTool::Pfmon,
+            StandaloneTool::Papiex,
+        ] {
+            match v {
+                StandaloneTool::Perfex => {
+                    assert!(StandaloneTool::ALL.contains(&StandaloneTool::Perfex))
+                }
+                StandaloneTool::Pfmon => {
+                    assert!(StandaloneTool::ALL.contains(&StandaloneTool::Pfmon))
+                }
+                StandaloneTool::Papiex => {
+                    assert!(StandaloneTool::ALL.contains(&StandaloneTool::Papiex))
+                }
+            }
+        }
+    }
+
     fn cfg() -> MeasurementConfig {
         MeasurementConfig::new(Processor::Core2Duo, Interface::Pc)
             .with_mode(CountingMode::UserKernel)

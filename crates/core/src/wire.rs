@@ -34,6 +34,14 @@
 //!   CSV omits) is on the wire, so a decoded record is bit-identical to
 //!   the original — the cache-correctness oracle depends on this.
 
+// Serving path: a panic here kills a countd worker or a whole sweep, so every
+// unwrap, expect, index or panic carries an `#[expect]` with its proof.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
+// Wire and dispatch code: a silently truncated count or a catch-all arm over
+// a protocol enum corrupts bytes without failing.
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use std::io::{self, BufRead, Write};
 
 use counterlab_cpu::hash::StreamHasher;
@@ -1187,6 +1195,20 @@ mod tests {
         g
     }
 
+    /// Every zoo benchmark survives the grid codec, so `parse_benchmark`
+    /// cannot drift from `Benchmark::name`.
+    #[test]
+    fn grid_roundtrip_covers_the_whole_zoo() {
+        for benchmark in Benchmark::zoo(64) {
+            let mut g = sample_grid();
+            g.benchmark = benchmark;
+            let line = encode_grid(&g);
+            let decoded = decode_grid(&line).unwrap();
+            assert_eq!(decoded.benchmark, benchmark, "{line}");
+            assert_eq!(encode_grid(&decoded), line);
+        }
+    }
+
     #[test]
     fn record_roundtrip_is_bit_exact_across_the_space() {
         // Every interface × pattern × a benchmark each, plus odd seeds.
@@ -1343,22 +1365,26 @@ mod tests {
         write_plain_request(&mut buf, "SHUTDOWN").unwrap();
         write_experiment_request(&mut buf, "table1", "quick", true).unwrap();
         let mut r = io::BufReader::new(&buf[..]);
-        match read_request(&mut r).unwrap() {
-            Request::Grid { grid, priority } => {
-                assert_eq!(encode_grid(&grid), encode_grid(&g));
-                assert_eq!(priority, Priority::Bulk);
-            }
-            other => panic!("{other:?}"),
-        }
+        let Request::Grid { grid, priority } = read_request(&mut r).unwrap() else {
+            panic!("expected a GRID request")
+        };
+        assert_eq!(encode_grid(&grid), encode_grid(&g));
+        assert_eq!(priority, Priority::Bulk);
         assert!(matches!(read_request(&mut r).unwrap(), Request::Stats));
         assert!(matches!(read_request(&mut r).unwrap(), Request::Ping));
         assert!(matches!(read_request(&mut r).unwrap(), Request::Shutdown));
-        match read_request(&mut r).unwrap() {
-            Request::Experiment { id, scale, streaming } => {
-                assert_eq!((id.as_str(), scale.as_str(), streaming), ("table1", "quick", true));
-            }
-            other => panic!("{other:?}"),
-        }
+        let Request::Experiment {
+            id,
+            scale,
+            streaming,
+        } = read_request(&mut r).unwrap()
+        else {
+            panic!("expected an EXPERIMENT request")
+        };
+        assert_eq!(
+            (id.as_str(), scale.as_str(), streaming),
+            ("table1", "quick", true)
+        );
         // EOF is a protocol error, not a hang or a default.
         assert!(read_request(&mut r).is_err());
     }

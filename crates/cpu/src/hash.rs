@@ -173,7 +173,7 @@ mod tests {
 
     #[test]
     fn splitmix64_spreads_sequential_inputs() {
-        let outs: std::collections::HashSet<u64> = (0..1000).map(splitmix64).collect();
+        let outs: std::collections::BTreeSet<u64> = (0..1000).map(splitmix64).collect();
         assert_eq!(outs.len(), 1000);
     }
 

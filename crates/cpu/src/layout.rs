@@ -191,7 +191,7 @@ mod tests {
     fn placements_spread_over_alignments() {
         // Across many fingerprints, both 16-byte-aligned and unaligned
         // placements must occur (otherwise no bimodality could emerge).
-        let mut offsets = std::collections::HashSet::new();
+        let mut offsets = std::collections::BTreeSet::new();
         for i in 0..256u64 {
             let p = BuildFingerprint::new().with_u64(i).placement();
             offsets.insert(p.alignment_offset(16));

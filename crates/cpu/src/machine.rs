@@ -798,7 +798,7 @@ mod tests {
     #[test]
     fn placement_changes_cpi_somewhere() {
         // Across many placements on K8 both CPI classes must appear.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..64u64 {
             let mut m = Machine::new(Processor::AthlonK8);
             let a = m.analyze_loop(&InstMix::LOOP_BODY, CodePlacement::at(0x0804_8000 + i));

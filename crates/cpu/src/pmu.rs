@@ -542,6 +542,35 @@ mod tests {
     use super::*;
     use crate::uarch::{ATHLON_K8, CORE2_DUO, PENTIUM_D};
 
+    /// No wildcard arm: a new variant fails to compile here until it has
+    /// an arm, and each arm asserts that the `ALL` roster lists it.
+    #[test]
+    fn all_lists_every_variant() {
+        for v in [
+            Event::InstructionsRetired,
+            Event::CoreCycles,
+            Event::BranchesRetired,
+            Event::BranchMispredictions,
+            Event::ICacheMisses,
+            Event::DCacheMisses,
+            Event::ItlbMisses,
+        ] {
+            match v {
+                Event::InstructionsRetired => {
+                    assert!(Event::ALL.contains(&Event::InstructionsRetired))
+                }
+                Event::CoreCycles => assert!(Event::ALL.contains(&Event::CoreCycles)),
+                Event::BranchesRetired => assert!(Event::ALL.contains(&Event::BranchesRetired)),
+                Event::BranchMispredictions => {
+                    assert!(Event::ALL.contains(&Event::BranchMispredictions))
+                }
+                Event::ICacheMisses => assert!(Event::ALL.contains(&Event::ICacheMisses)),
+                Event::DCacheMisses => assert!(Event::ALL.contains(&Event::DCacheMisses)),
+                Event::ItlbMisses => assert!(Event::ALL.contains(&Event::ItlbMisses)),
+            }
+        }
+    }
+
     fn delta(instructions: u64, cycles: u64) -> EventDelta {
         EventDelta {
             instructions,

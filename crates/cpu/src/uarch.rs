@@ -217,6 +217,23 @@ pub static ATHLON_K8: Uarch = Uarch {
 mod tests {
     use super::*;
 
+    /// No wildcard arm: a new variant fails to compile here until it has
+    /// an arm, and each arm asserts that the `ALL` roster lists it.
+    #[test]
+    fn all_lists_every_variant() {
+        for v in [
+            Processor::PentiumD,
+            Processor::Core2Duo,
+            Processor::AthlonK8,
+        ] {
+            match v {
+                Processor::PentiumD => assert!(Processor::ALL.contains(&Processor::PentiumD)),
+                Processor::Core2Duo => assert!(Processor::ALL.contains(&Processor::Core2Duo)),
+                Processor::AthlonK8 => assert!(Processor::ALL.contains(&Processor::AthlonK8)),
+            }
+        }
+    }
+
     #[test]
     fn table1_counters() {
         // Table 1: PD 0+1 fixed / 18 programmable, CD 3+1 / 2, K8 0+1 / 4.

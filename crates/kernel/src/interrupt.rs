@@ -201,7 +201,7 @@ mod tests {
 
     #[test]
     fn phase_varies_with_seed() {
-        let phases: std::collections::HashSet<u64> = (0..16)
+        let phases: std::collections::BTreeSet<u64> = (0..16)
             .map(|s| TimerSource::new(&CORE2_DUO, 250, cost(), &mut rng(s)).next_tick_cycle())
             .collect();
         assert!(phases.len() > 8, "phases should vary: {phases:?}");
@@ -223,7 +223,7 @@ mod tests {
     fn handler_jitter_varies() {
         let mut r = rng(4);
         let mut t = TimerSource::new(&CORE2_DUO, 250, cost(), &mut r);
-        let sizes: std::collections::HashSet<u64> = (0..32)
+        let sizes: std::collections::BTreeSet<u64> = (0..32)
             .map(|_| t.take_tick(&mut r).total_instructions())
             .collect();
         assert!(sizes.len() > 4, "jitter should vary sizes: {sizes:?}");

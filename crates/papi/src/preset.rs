@@ -11,7 +11,7 @@ use counterlab_cpu::pmu::{CountMode, Event};
 
 /// PAPI preset (platform-independent) events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(non_camel_case_types)]
+#[expect(non_camel_case_types, reason = "variants spell the PAPI_* preset names")]
 pub enum PapiPreset {
     /// `PAPI_TOT_INS` — total instructions completed.
     PAPI_TOT_INS,
@@ -106,6 +106,45 @@ impl PapiDomain {
 mod tests {
     use super::*;
 
+    /// No wildcard arm: a new variant fails to compile here until it has
+    /// an arm, and each arm asserts that the `ALL` roster lists it.
+    #[test]
+    fn all_lists_every_variant() {
+        for v in [
+            PapiPreset::PAPI_TOT_INS,
+            PapiPreset::PAPI_TOT_CYC,
+            PapiPreset::PAPI_BR_INS,
+            PapiPreset::PAPI_BR_MSP,
+            PapiPreset::PAPI_L1_ICM,
+            PapiPreset::PAPI_L1_DCM,
+            PapiPreset::PAPI_TLB_IM,
+        ] {
+            match v {
+                PapiPreset::PAPI_TOT_INS => {
+                    assert!(PapiPreset::ALL.contains(&PapiPreset::PAPI_TOT_INS))
+                }
+                PapiPreset::PAPI_TOT_CYC => {
+                    assert!(PapiPreset::ALL.contains(&PapiPreset::PAPI_TOT_CYC))
+                }
+                PapiPreset::PAPI_BR_INS => {
+                    assert!(PapiPreset::ALL.contains(&PapiPreset::PAPI_BR_INS))
+                }
+                PapiPreset::PAPI_BR_MSP => {
+                    assert!(PapiPreset::ALL.contains(&PapiPreset::PAPI_BR_MSP))
+                }
+                PapiPreset::PAPI_L1_ICM => {
+                    assert!(PapiPreset::ALL.contains(&PapiPreset::PAPI_L1_ICM))
+                }
+                PapiPreset::PAPI_L1_DCM => {
+                    assert!(PapiPreset::ALL.contains(&PapiPreset::PAPI_L1_DCM))
+                }
+                PapiPreset::PAPI_TLB_IM => {
+                    assert!(PapiPreset::ALL.contains(&PapiPreset::PAPI_TLB_IM))
+                }
+            }
+        }
+    }
+
     #[test]
     fn roundtrip_names() {
         for p in PapiPreset::ALL {
@@ -116,7 +155,7 @@ mod tests {
 
     #[test]
     fn native_mapping_is_injective() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for p in PapiPreset::ALL {
             assert!(seen.insert(p.to_native()), "{p} duplicates a native event");
         }

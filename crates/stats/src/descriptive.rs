@@ -161,7 +161,7 @@ impl Summary {
 
     /// Assembles a summary from already-computed parts (the closing step
     /// of [`crate::stream::SummaryAccumulator::finish`]).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one argument per Summary field")]
     pub(crate) fn from_parts(
         n: usize,
         mean: f64,

@@ -11,6 +11,7 @@
 //! only needs the API surface to compile.
 
 #![forbid(unsafe_code)]
+#![expect(clippy::disallowed_methods, reason = "a benchmark harness reads the wall clock")]
 
 use std::time::{Duration, Instant};
 

@@ -220,7 +220,7 @@ macro_rules! impl_tuple_strategy {
             type Value = ($($name::Value,)+);
 
             fn sample(&self, rng: &mut TestRng) -> Self::Value {
-                #[allow(non_snake_case)]
+                #[expect(non_snake_case, reason = "bindings reuse the type parameter names")]
                 let ($($name,)+) = self;
                 ($($name.sample(rng),)+)
             }

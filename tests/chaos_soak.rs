@@ -16,6 +16,8 @@
 //! which is printed at the start of every soak. Replay a failure with
 //! `COUNTD_CHAOS_SEED=<seed> cargo test --test chaos_soak`.
 
+#![expect(clippy::disallowed_methods, reason = "the soak asserts wall-clock deadline budgets")]
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -200,6 +202,7 @@ fn connection_cap_sheds_with_busy_and_recovers() {
     let addr = server.addr().to_string();
 
     // Park two idle connections: they hold the cap without sending a byte.
+    #[expect(clippy::disallowed_methods, reason = "parked sockets must stay open and silent")]
     let parked: Vec<std::net::TcpStream> = (0..2)
         .map(|_| std::net::TcpStream::connect(&addr).expect("park connection"))
         .collect();

@@ -170,3 +170,58 @@ fn declared_ablations_change_output() {
         }
     }
 }
+
+/// Every `experiments/` source file, by module name.
+const EXPERIMENT_SOURCES: [(&str, &str); 12] = [
+    ("anova", include_str!("../crates/core/src/experiments/anova.rs")),
+    ("cache", include_str!("../crates/core/src/experiments/cache.rs")),
+    ("csv", include_str!("../crates/core/src/experiments/csv.rs")),
+    ("cycles", include_str!("../crates/core/src/experiments/cycles.rs")),
+    ("duration", include_str!("../crates/core/src/experiments/duration.rs")),
+    ("infrastructure", include_str!("../crates/core/src/experiments/infrastructure.rs")),
+    ("multiplexing", include_str!("../crates/core/src/experiments/multiplexing.rs")),
+    ("overview", include_str!("../crates/core/src/experiments/overview.rs")),
+    ("registers", include_str!("../crates/core/src/experiments/registers.rs")),
+    ("tables", include_str!("../crates/core/src/experiments/tables.rs")),
+    ("tsc", include_str!("../crates/core/src/experiments/tsc.rs")),
+    ("workload", include_str!("../crates/core/src/experiments/workload.rs")),
+];
+
+/// Every `impl Experiment for` in `experiments/` is registered: the impl
+/// count equals the registry size and each impl's `id()` literal is a
+/// registered id. `EXPERIMENT_SOURCES` is itself checked against the
+/// `pub mod` list of `experiments/mod.rs`, so a new module cannot hide.
+#[test]
+fn every_experiment_impl_is_registered() {
+    let mods: Vec<&str> = include_str!("../crates/core/src/experiments/mod.rs")
+        .lines()
+        .filter_map(|l| l.strip_prefix("pub mod ")?.strip_suffix(';'))
+        .collect();
+    let listed: Vec<&str> = EXPERIMENT_SOURCES.iter().map(|(m, _)| *m).collect();
+    assert_eq!(
+        listed, mods,
+        "EXPERIMENT_SOURCES must list every experiments/ module"
+    );
+
+    let registered: Vec<&str> = registry().iter().map(|e| e.id()).collect();
+    let mut impls = 0;
+    for (module, source) in EXPERIMENT_SOURCES {
+        for block in source.split("impl Experiment for ").skip(1) {
+            impls += 1;
+            let ty = block.split_whitespace().next().unwrap_or_default();
+            let id = block
+                .split_once("fn id(&self)")
+                .and_then(|(_, rest)| rest.split('"').nth(1))
+                .unwrap_or_else(|| panic!("{module}::{ty}: no literal id() found"));
+            assert!(
+                registered.contains(&id),
+                "{module}::{ty} (id {id:?}) is not in registry()"
+            );
+        }
+    }
+    assert_eq!(
+        impls,
+        registered.len(),
+        "an Experiment impl is missing from registry()"
+    );
+}
