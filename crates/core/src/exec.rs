@@ -2,16 +2,30 @@
 //!
 //! The paper's headline artifact is a factorial sweep of "over 170000
 //! measurements" (Figure 1). Every measurement is fully deterministic and
-//! self-contained — per-run seeds derive from the cell's identity, and a
-//! fresh simulated system boots per run — so the sweep is embarrassingly
-//! parallel *provided the output order does not depend on scheduling*.
+//! self-contained — per-run seeds derive from the cell's identity, and
+//! every run starts from the exact state of a freshly booted system — so
+//! the sweep is embarrassingly parallel *provided the output order does
+//! not depend on scheduling*.
 //!
-//! [`run_indexed`] is that engine: a dependency-free thread pool built on
-//! [`std::thread::scope`] and an atomic work index over `0..total`.
-//! Results are returned in index order regardless of worker count, so
-//! `jobs = 1` and `jobs = N` produce byte-identical record vectors, and
-//! the first failure (by index, not by wall clock) is propagated after
-//! in-flight work drains.
+//! [`run_indexed_with`] is that engine's one worker loop: a
+//! dependency-free thread pool built on [`std::thread::scope`] and an
+//! atomic work index over `0..total`, where each worker owns one state
+//! for the whole call. The others are thin wrappers over it:
+//!
+//! * [`run_indexed`] returns results in index order regardless of worker
+//!   count, so `jobs = 1` and `jobs = N` produce byte-identical record
+//!   vectors;
+//! * [`run_indexed_fold`] folds into per-worker shards;
+//! * [`run_cell_chunked`] runs blocks of a cell's repetitions against a
+//!   per-block state built from the worker's previous one — a measurement
+//!   session re-targeted instead of booted, so a worker boots each
+//!   simulated stack once, not once per cell.
+//!
+//! Everywhere, the first failure (by index, not by wall clock) is
+//! propagated after in-flight work drains. At most one state lives per
+//! worker, and none outlives the call that made it (a driver that calls
+//! the engine batch after batch may carry them between its own calls with
+//! [`run_cell_chunked_from`]).
 
 // Serving path: a panic here kills a countd worker or a whole sweep, so every
 // unwrap, expect, index or panic carries an `#[expect]` with its proof.
@@ -101,8 +115,15 @@ impl<'a> RunOptions<'a> {
     /// integer. CI runs the whole test suite under a `COUNTERLAB_JOBS`
     /// matrix of 1 and 4 so that any jobs-dependence in default-option
     /// code paths surfaces as a test failure.
+    ///
+    /// The variable is read only in the auto case, so an explicit worker
+    /// count costs the same — no environment lookup, no allocation — in
+    /// every environment.
     pub fn effective_jobs(&self, total: usize) -> usize {
-        self.effective_jobs_with_env(total, std::env::var("COUNTERLAB_JOBS").ok().as_deref())
+        let env = (self.jobs == 0)
+            .then(|| std::env::var("COUNTERLAB_JOBS").ok())
+            .flatten();
+        self.effective_jobs_with_env(total, env.as_deref())
     }
 
     /// [`RunOptions::effective_jobs`] with the environment override passed
@@ -126,34 +147,44 @@ impl<'a> RunOptions<'a> {
     }
 }
 
-/// Runs `work(0..total)` across the configured workers and returns the
-/// results **in index order**, independent of worker count or scheduling.
+/// The one worker loop every engine here runs: `work(state, i)` for each
+/// `i` in `0..total`, across the configured workers, where each worker
+/// owns one state. `init(workers)` builds the states on the calling
+/// thread before any work starts, one call per worker in spawn order
+/// (`workers` is how many share the run, so a lone worker can size its
+/// buffers for all of it). Returns the states **in spawn order**.
 ///
-/// Workers claim indices from a shared atomic counter. On the first
-/// failure the pool stops handing out new indices, already-claimed items
-/// run to completion (the drain), and the error with the **smallest
-/// index** is returned — again independent of scheduling, so a failing
-/// sweep fails identically at any `jobs` value.
+/// Workers claim indices from a shared atomic counter, so each worker
+/// sees its indices in ascending order. On the first failure the pool
+/// stops handing out new indices, already-claimed items run to completion
+/// (the drain), and the error with the **smallest index** is returned —
+/// independent of scheduling, so a failing sweep fails identically at any
+/// `jobs` value. With one worker, items run inline on the calling thread.
 ///
 /// # Errors
 ///
 /// The lowest-index error produced by `work`.
-#[expect(clippy::expect_used, reason = "a lost claimed index is an engine bug; abort, not drop")]
-pub fn run_indexed<'a, T, F>(total: usize, opts: &RunOptions<'a>, work: F) -> Result<Vec<T>>
+pub fn run_indexed_with<'a, S, N, F>(
+    total: usize,
+    opts: &RunOptions<'a>,
+    mut init: N,
+    work: F,
+) -> Result<Vec<S>>
 where
-    T: Send,
-    F: Fn(usize) -> Result<T> + Sync,
+    S: Send,
+    N: FnMut(usize) -> S,
+    F: Fn(&mut S, usize) -> Result<()> + Sync,
 {
     let jobs = opts.effective_jobs(total);
     if jobs <= 1 {
-        let mut out = Vec::with_capacity(total);
+        let mut state = init(1);
         for i in 0..total {
-            out.push(work(i)?);
+            work(&mut state, i)?;
             if let Some(progress) = opts.progress {
                 progress(i + 1, total);
             }
         }
-        return Ok(out);
+        return Ok(vec![state]);
     }
 
     let next = AtomicUsize::new(0);
@@ -162,10 +193,8 @@ where
     let first_error: Mutex<Option<(usize, CoreError)>> = Mutex::new(None);
 
     // Each worker claims indices from the shared counter and keeps its
-    // results locally; ordering is restored from the indices afterwards,
-    // so no lock is touched on the success path.
-    let worker = || {
-        let mut local: Vec<(usize, T)> = Vec::new();
+    // state to itself, so no lock is touched on the success path.
+    let worker = |mut state: S| {
         loop {
             if stop.load(Ordering::Acquire) {
                 break;
@@ -177,130 +206,7 @@ where
             if i >= total {
                 break;
             }
-            match work(i) {
-                Ok(value) => {
-                    local.push((i, value));
-                    // Relaxed: a monotone progress counter consumed as a
-                    // high-water mark; no data is published under it.
-                    let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                    if let Some(progress) = opts.progress {
-                        progress(done, total);
-                    }
-                }
-                Err(e) => {
-                    // Recover a poisoned lock: the slot only ever holds
-                    // a complete `Some((index, error))`, so whatever a
-                    // panicking peer left behind is still meaningful.
-                    let mut guard = first_error
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    if guard.as_ref().is_none_or(|(at, _)| i < *at) {
-                        *guard = Some((i, e));
-                    }
-                    drop(guard);
-                    stop.store(true, Ordering::Release);
-                }
-            }
-        }
-        local
-    };
-
-    let mut parts: Vec<Vec<(usize, T)>> = Vec::with_capacity(jobs);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs).map(|_| scope.spawn(worker)).collect();
-        for handle in handles {
-            #[expect(clippy::expect_used, reason = "re-raise a worker panic: the sweep is lost")]
-            parts.push(handle.join().expect("engine worker panicked"));
-        }
-    });
-
-    if let Some((_, e)) = first_error
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-    {
-        return Err(e);
-    }
-    let mut slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
-    for (i, value) in parts.into_iter().flatten() {
-        if let Some(slot) = slots.get_mut(i) {
-            *slot = Some(value);
-        }
-    }
-    Ok(slots
-        .into_iter()
-        .map(|slot| slot.expect("every index ran to completion"))
-        .collect())
-}
-
-/// Runs `work(0..total)` across the configured workers, folding each
-/// item into a per-worker **shard accumulator** instead of materializing
-/// a result vector, and merges the shards **lowest-worker-first**.
-///
-/// This is the constant-memory backbone of the streaming statistics
-/// engine: memory is `O(jobs × |A|)` regardless of `total`. Error
-/// semantics are identical to [`run_indexed`] — on the first failure the
-/// pool stops handing out indices, in-flight items drain, and the error
-/// with the **smallest index** is returned at any worker count.
-///
-/// # Determinism
-///
-/// Which items land in which shard depends on scheduling, so the final
-/// value is bit-reproducible only when the accumulator is
-/// *partition-insensitive* (integer counts, min/max, exact sums).
-/// Floating-point accumulators such as
-/// [`counterlab_stats::stream::Welford`] agree across worker counts to
-/// ≤ 1e-9 relative error (their merge is associative up to rounding); the
-/// equivalence suite locks that tolerance in. When bit-exactness is
-/// required, fold **per cell** instead ([`crate::grid::Grid::run_fold`]
-/// makes the whole cell one work item, which is exact at any `jobs`).
-///
-/// # Errors
-///
-/// The lowest-index error produced by `work`.
-pub fn run_indexed_fold<'a, A, N, F, M>(
-    total: usize,
-    opts: &RunOptions<'a>,
-    new_shard: N,
-    work: F,
-    mut merge: M,
-) -> Result<A>
-where
-    A: Send,
-    N: Fn() -> A + Sync,
-    F: Fn(usize, &mut A) -> Result<()> + Sync,
-    M: FnMut(A, A) -> A,
-{
-    let jobs = opts.effective_jobs(total);
-    if jobs <= 1 {
-        let mut shard = new_shard();
-        for i in 0..total {
-            work(i, &mut shard)?;
-            if let Some(progress) = opts.progress {
-                progress(i + 1, total);
-            }
-        }
-        return Ok(shard);
-    }
-
-    let next = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let first_error: Mutex<Option<(usize, CoreError)>> = Mutex::new(None);
-
-    let worker = || {
-        let mut shard = new_shard();
-        loop {
-            if stop.load(Ordering::Acquire) {
-                break;
-            }
-            // Relaxed: a unique-index dispenser; only per-index uniqueness
-            // matters (any RMW ordering gives it). Results are published by
-            // thread join, not by this atomic.
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= total {
-                break;
-            }
-            match work(i, &mut shard) {
+            match work(&mut state, i) {
                 Ok(()) => {
                     // Relaxed: a monotone progress counter consumed as a
                     // high-water mark; no data is published under it.
@@ -324,17 +230,21 @@ where
                 }
             }
         }
-        shard
+        state
     };
 
-    // Shards come back in spawn order, so the merge is always
-    // lowest-worker-first however the scheduler interleaved the joins.
-    let mut shards: Vec<A> = Vec::with_capacity(jobs);
+    // States come back in spawn order, however the scheduler interleaved
+    // the joins.
+    let worker = &worker;
+    let mut states: Vec<S> = (0..jobs).map(|_| init(jobs)).collect();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs).map(|_| scope.spawn(worker)).collect();
+        let handles: Vec<_> = states
+            .drain(..)
+            .map(|state| scope.spawn(move || worker(state)))
+            .collect();
         for handle in handles {
             #[expect(clippy::expect_used, reason = "re-raise a worker panic: the sweep is lost")]
-            shards.push(handle.join().expect("engine worker panicked"));
+            states.push(handle.join().expect("engine worker panicked"));
         }
     });
 
@@ -344,25 +254,83 @@ where
     {
         return Err(e);
     }
-    let mut merged = shards.remove(0);
-    for shard in shards {
-        merged = merge(merged, shard);
-    }
-    Ok(merged)
+    Ok(states)
 }
 
-/// Runs `cells × reps` work items grouped **by cell**: each cell is one
-/// work item claimed by one worker, which creates the cell's state once
-/// (`state(cell)` — a measurement session, booted once) and then runs the
-/// cell's repetitions *in repetition order* against it. Results come back
-/// flattened in `cell × repetition` order — byte-identical to
-/// [`run_indexed`] over the same flat index space at any worker count.
+/// Runs `work(0..total)` across the configured workers and returns the
+/// results **in index order**, independent of worker count or scheduling:
+/// [`run_cell_chunked`] with one-repetition cells and no state.
+///
+/// # Errors
+///
+/// The lowest-index error produced by `work`.
+pub fn run_indexed<'a, T, F>(total: usize, opts: &RunOptions<'a>, work: F) -> Result<Vec<T>>
+where
+    T: Send,
+    F: Fn(usize) -> Result<T> + Sync,
+{
+    run_cell_chunked(total, 1, 1, opts, |_, _, _| Ok(()), |(), i| work(i))
+}
+
+/// Runs `work(0..total)` across the configured workers, folding each
+/// item into a per-worker **shard accumulator** instead of materializing
+/// a result vector, and merges the shards **lowest-worker-first**.
+///
+/// This is the constant-memory backbone of the streaming statistics
+/// engine: memory is `O(jobs × |A|)` regardless of `total`. Error
+/// semantics are those of [`run_indexed_with`], whose per-worker state
+/// the shard is.
+///
+/// # Determinism
+///
+/// Which items land in which shard depends on scheduling, so the final
+/// value is bit-reproducible only when the accumulator is
+/// *partition-insensitive* (integer counts, min/max, exact sums).
+/// Floating-point accumulators such as
+/// [`counterlab_stats::stream::Welford`] agree across worker counts to
+/// ≤ 1e-9 relative error (their merge is associative up to rounding); the
+/// equivalence suite locks that tolerance in. When bit-exactness is
+/// required, fold **per cell** instead ([`crate::grid::Grid::run_fold`]
+/// makes the whole cell one work item, which is exact at any `jobs`).
+///
+/// # Errors
+///
+/// The lowest-index error produced by `work`.
+pub fn run_indexed_fold<'a, A, N, F, M>(
+    total: usize,
+    opts: &RunOptions<'a>,
+    new_shard: N,
+    work: F,
+    merge: M,
+) -> Result<A>
+where
+    A: Send,
+    N: Fn() -> A + Sync,
+    F: Fn(usize, &mut A) -> Result<()> + Sync,
+    M: FnMut(A, A) -> A,
+{
+    let shards = run_indexed_with(total, opts, |_| new_shard(), |shard, i| work(i, shard))?;
+    // `run_indexed_with` returns at least one state.
+    Ok(shards.into_iter().reduce(merge).unwrap_or_else(new_shard))
+}
+
+/// Runs `cells × reps` work items grouped **by cell**: each block of a
+/// cell's repetitions is one work item claimed by one worker, which
+/// builds the block's state (`state(prev, cell, first_rep)`, typically a
+/// measurement session) and then runs the block's repetitions *in
+/// repetition order* against it. Results come back flattened in
+/// `cell × repetition` order — the order of a flat loop over
+/// `0..cells × reps` — at any worker count.
+///
+/// `prev` is the state the same worker built for its previous block, or
+/// `None` for its first: a measurement session re-targets it through
+/// [`crate::measure::MeasurementSession::reuse`] instead of booting a new
+/// stack. At most one state lives per worker, and none outlives the call.
 ///
 /// Cells may be split into blocks of `block` repetitions (`block = reps`
 /// disables splitting): a sweep with few, expensive cells regains
-/// parallelism while still amortizing the state construction over a whole
-/// block. Block boundaries never cross a cell, so state is never shared
-/// across cells.
+/// parallelism while a whole block still shares one state. Block
+/// boundaries never cross a cell.
 ///
 /// Default repetition-block size for [`run_cell_chunked`] callers whose
 /// sweeps have few cells: one state (a booted measurement session)
@@ -372,11 +340,12 @@ where
 /// `block = reps` instead.
 pub const SESSION_REP_BLOCK: usize = 32;
 
-/// `state(cell, first_rep)` builds the block's state, where `first_rep`
-/// is the first repetition the block will run (so a session can boot
-/// directly armed for it). `work(state, i)` receives the **flat** index
-/// `i` (cell `i / reps`, repetition `i % reps`), exactly as a flat engine
-/// would hand out.
+/// `state(prev, cell, first_rep)` builds the block's state, where
+/// `first_rep` is the first repetition the block will run (so a session
+/// can boot directly armed for it). `work(state, i)` receives the
+/// **flat** index `i` (cell `i / reps`, repetition `i % reps`), exactly as
+/// a flat engine would hand out. With one worker the results go straight
+/// into the returned vector.
 ///
 /// # Errors
 ///
@@ -394,7 +363,36 @@ pub fn run_cell_chunked<'a, T, S, N, F>(
 ) -> Result<Vec<T>>
 where
     T: Send,
-    N: Fn(usize, usize) -> Result<S> + Sync,
+    S: Send,
+    N: Fn(Option<S>, usize, usize) -> Result<S> + Sync,
+    F: Fn(&mut S, usize) -> Result<T> + Sync,
+{
+    let mut carried = Vec::new();
+    run_cell_chunked_from(&mut carried, cells, reps, block, opts, state, work)
+}
+
+/// [`run_cell_chunked`] for a driver that calls the engine repeatedly
+/// (batch after batch) and keeps its states between the calls: the
+/// workers start from the states in `carried` as their `prev`, and
+/// `carried` holds the workers' last states afterwards (after a failure,
+/// none).
+///
+/// # Errors
+///
+/// As [`run_cell_chunked`].
+pub fn run_cell_chunked_from<'a, T, S, N, F>(
+    carried: &mut Vec<S>,
+    cells: usize,
+    reps: usize,
+    block: usize,
+    opts: &RunOptions<'a>,
+    state: N,
+    work: F,
+) -> Result<Vec<T>>
+where
+    T: Send,
+    S: Send,
+    N: Fn(Option<S>, usize, usize) -> Result<S> + Sync,
     F: Fn(&mut S, usize) -> Result<T> + Sync,
 {
     if cells == 0 || reps == 0 {
@@ -402,36 +400,73 @@ where
     }
     let block = block.clamp(1, reps);
     let blocks_per_cell = reps.div_ceil(block);
+    let blocks = cells * blocks_per_cell;
     let total = cells * reps;
+    let block_len = |g: usize| block.min(reps - (g % blocks_per_cell) * block);
     let completed = AtomicUsize::new(0);
-    let groups = run_indexed(
-        cells * blocks_per_cell,
+    // States the run has no worker for are dropped with the drain.
+    let mut prevs = carried.drain(..);
+    let mut workers = run_indexed_with(
+        blocks,
         &RunOptions {
-            jobs: opts.effective_jobs(cells * blocks_per_cell),
+            jobs: opts.jobs,
             progress: None,
         },
-        |g| {
+        move |workers| Worker {
+            state: prevs.next(),
+            values: Vec::with_capacity(if workers == 1 { total } else { 0 }),
+            blocks: Vec::new(),
+            solo: workers == 1,
+        },
+        |w: &mut Worker<S, T>, g| {
             let cell = g / blocks_per_cell;
             let first_rep = (g % blocks_per_cell) * block;
-            let len = block.min(reps - first_rep);
-            let mut st = state(cell, first_rep)?;
-            let mut out = Vec::with_capacity(len);
-            for rep in first_rep..first_rep + len {
-                out.push(work(&mut st, cell * reps + rep)?);
+            let next = state(w.state.take(), cell, first_rep)?;
+            let st = w.state.insert(next);
+            for rep in first_rep..first_rep + block_len(g) {
+                w.values.push(work(st, cell * reps + rep)?);
                 if let Some(progress) = opts.progress {
                     // Relaxed: a monotone progress counter consumed as a
                     // high-water mark; no data is published under it.
                     progress(completed.fetch_add(1, Ordering::Relaxed) + 1, total);
                 }
             }
-            Ok(out)
+            if !w.solo {
+                w.blocks.push(g);
+            }
+            Ok(())
         },
     )?;
+    carried.extend(workers.iter_mut().filter_map(|w| w.state.take()));
+    // A lone worker's values are already in flat order.
+    if let [w] = workers.as_mut_slice() {
+        return Ok(std::mem::take(&mut w.values));
+    }
+    let mut owner = vec![0usize; blocks];
+    for (i, w) in workers.iter().enumerate() {
+        for &g in &w.blocks {
+            #[expect(clippy::indexing_slicing, reason = "every block g < blocks ran once")]
+            let slot = &mut owner[g];
+            *slot = i;
+        }
+    }
+    let mut values: Vec<_> = workers.into_iter().map(|w| w.values.into_iter()).collect();
     let mut out = Vec::with_capacity(total);
-    for group in groups {
-        out.extend(group);
+    for (g, &i) in owner.iter().enumerate() {
+        #[expect(clippy::indexing_slicing, reason = "owners are worker indices")]
+        out.extend(values[i].by_ref().take(block_len(g)));
     }
     Ok(out)
+}
+
+/// One worker's part of a [`run_cell_chunked_from`] call: its current
+/// state, the values of the blocks it ran in the order it ran them, and —
+/// when it is not the only worker — which blocks those were.
+struct Worker<S, T> {
+    state: Option<S>,
+    values: Vec<T>,
+    blocks: Vec<usize>,
+    solo: bool,
 }
 
 /// Chunk size of [`run_indexed_each`]: large enough to amortize pool
@@ -835,7 +870,7 @@ mod tests {
                     5,
                     block,
                     &RunOptions::with_jobs(jobs),
-                    |cell, _first| Ok(cell * 1000),
+                    |_, cell, _first| Ok(cell * 1000),
                     |state, i| {
                         assert_eq!(*state / 1000, i / 5, "state belongs to the item's cell");
                         Ok(i * 7)
@@ -856,7 +891,7 @@ mod tests {
             6,
             6,
             &RunOptions::with_jobs(4),
-            |_c, _first| Ok(Vec::<usize>::new()),
+            |_, _c, _first| Ok(Vec::<usize>::new()),
             |seen, i| {
                 seen.push(i % 6);
                 assert_eq!(seen.len(), i % 6 + 1, "reps in order within the cell");
@@ -875,7 +910,7 @@ mod tests {
                 4,
                 2,
                 &RunOptions::with_jobs(jobs),
-                |_c, _first| Ok(()),
+                |_, _c, _first| Ok(()),
                 |(), i| {
                     if i >= 13 {
                         Err(CoreError::InvalidConfig(format!("chunk boom at {i}")))
@@ -892,6 +927,133 @@ mod tests {
         }
     }
 
+    /// Each worker's blocks see the state the same worker built for its
+    /// previous block (`None` only for a worker's first block), with the
+    /// flat output order and the lowest-index error unchanged.
+    #[test]
+    fn cell_chunked_hands_each_worker_its_previous_state() {
+        for jobs in [1, 4] {
+            let firsts = AtomicUsize::new(0);
+            // A state is the list of blocks its worker has built so far.
+            let state = |prev: Option<Vec<usize>>, cell: usize, first: usize| {
+                let block = cell * 3 + first / 2;
+                let mut built = match prev {
+                    Some(built) => built,
+                    None => {
+                        firsts.fetch_add(1, Ordering::Relaxed);
+                        Vec::new()
+                    }
+                };
+                if jobs == 1 {
+                    assert_eq!(
+                        built,
+                        (0..block).collect::<Vec<_>>(),
+                        "the previous block's state"
+                    );
+                }
+                // Workers claim blocks in ascending order.
+                assert!(
+                    built.last().is_none_or(|&b| b < block),
+                    "{built:?} then {block}"
+                );
+                built.push(block);
+                Ok(built)
+            };
+            let got = run_cell_chunked(
+                20,
+                5,
+                2,
+                &RunOptions::with_jobs(jobs),
+                state,
+                |built: &mut Vec<usize>, i| {
+                    assert_eq!(built.last(), Some(&((i / 5) * 3 + (i % 5) / 2)));
+                    Ok(i)
+                },
+            )
+            .unwrap();
+            assert_eq!(got, (0..100).collect::<Vec<_>>(), "jobs = {jobs}");
+            assert!(
+                (1..=jobs).contains(&firsts.load(Ordering::Relaxed)),
+                "jobs = {jobs}"
+            );
+
+            let err = run_cell_chunked(
+                20,
+                5,
+                2,
+                &RunOptions::with_jobs(jobs),
+                |_, _, _| Ok(()),
+                |(), i| {
+                    if i == 37 || i == 71 {
+                        Err(CoreError::InvalidConfig(format!("reuse boom at {i}")))
+                    } else {
+                        Ok(i)
+                    }
+                },
+            )
+            .unwrap_err();
+            assert!(
+                err.to_string().contains("reuse boom at 37"),
+                "jobs = {jobs}: {err}"
+            );
+        }
+    }
+
+    /// A driver that calls the engine batch after batch keeps its states:
+    /// the workers start from the carried states, and the carried list
+    /// holds their last states afterwards.
+    #[test]
+    fn cell_chunked_from_carries_states_between_calls() {
+        let mut carried = vec![100usize];
+        let got = run_cell_chunked_from(
+            &mut carried,
+            3,
+            2,
+            2,
+            &RunOptions::sequential(),
+            |prev, cell, _| Ok(prev.expect("carried in") + cell),
+            |st: &mut usize, i| Ok((*st, i)),
+        )
+        .unwrap();
+        assert_eq!(
+            got,
+            [(100, 0), (100, 1), (101, 2), (101, 3), (103, 4), (103, 5)]
+        );
+        assert_eq!(carried, [103]);
+        let mut carried = vec![10usize, 20];
+        run_cell_chunked_from(
+            &mut carried,
+            8,
+            1,
+            1,
+            &RunOptions::with_jobs(4),
+            |prev: Option<usize>, _, _| Ok(prev.unwrap_or(0) + 1),
+            |_, i| Ok(i),
+        )
+        .unwrap();
+        // A worker that claimed no block hands back what it was given.
+        assert!(
+            (2..=4).contains(&carried.len()),
+            "at most one state per worker"
+        );
+        assert_eq!(
+            carried.iter().sum::<usize>(),
+            10 + 20 + 8,
+            "every block built on its worker's state"
+        );
+        let failed = run_cell_chunked_from(
+            &mut carried,
+            2,
+            1,
+            1,
+            &RunOptions::sequential(),
+            |prev, _, _| Ok(prev.unwrap_or(0)),
+            |_, _| -> Result<()> { Err(CoreError::NoData("boom")) },
+        );
+        assert!(failed.is_err());
+        assert!(carried.is_empty(), "a failed run keeps no state");
+    }
+
     #[test]
     fn cell_chunked_empty_dimensions() {
         let none = run_cell_chunked(
@@ -899,7 +1061,7 @@ mod tests {
             5,
             5,
             &RunOptions::default(),
-            |_, _| Ok(()),
+            |_, _, _| Ok(()),
             |(), i| Ok(i),
         )
         .unwrap();
@@ -909,7 +1071,7 @@ mod tests {
             0,
             1,
             &RunOptions::default(),
-            |_, _| -> Result<()> { panic!("state must not be built for zero reps") },
+            |_, _, _| -> Result<()> { panic!("state must not be built for zero reps") },
             |(), i| Ok(i),
         )
         .unwrap();
@@ -925,7 +1087,7 @@ mod tests {
             assert_eq!(total, 30);
         };
         let opts = RunOptions::with_jobs(3).with_progress(&progress);
-        run_cell_chunked(6, 5, 5, &opts, |_, _| Ok(()), |(), i| Ok(i)).unwrap();
+        run_cell_chunked(6, 5, 5, &opts, |_, _, _| Ok(()), |(), i| Ok(i)).unwrap();
         assert_eq!(seen.load(Ordering::Relaxed), 30);
     }
 
@@ -942,7 +1104,7 @@ mod tests {
         };
         // 3 cells × 7 reps, block 5 → per cell one 5-block + one 2-block.
         let opts = RunOptions::sequential().with_progress(&progress);
-        run_cell_chunked(3, 7, 5, &opts, |_, _| Ok(()), |(), i| Ok(i)).unwrap();
+        run_cell_chunked(3, 7, 5, &opts, |_, _, _| Ok(()), |(), i| Ok(i)).unwrap();
         let expected: Vec<(usize, usize)> = (1..=21).map(|done| (done, 21)).collect();
         assert_eq!(*calls.lock().unwrap(), expected);
     }
@@ -962,7 +1124,7 @@ mod tests {
                 calls.lock().unwrap().push(done);
             };
             let opts = RunOptions::with_jobs(jobs).with_progress(&progress);
-            run_cell_chunked(cells, reps, block, &opts, |_, _| Ok(()), |(), i| Ok(i)).unwrap();
+            run_cell_chunked(cells, reps, block, &opts, |_, _, _| Ok(()), |(), i| Ok(i)).unwrap();
             let mut seen = calls.into_inner().unwrap();
             seen.sort_unstable();
             assert_eq!(
@@ -984,7 +1146,7 @@ mod tests {
         for (cells, reps) in [(0, 5), (5, 0), (0, 0)] {
             let opts = RunOptions::with_jobs(4).with_progress(&progress);
             let out =
-                run_cell_chunked(cells, reps, 3, &opts, |_, _| Ok(()), |(), i| Ok(i)).unwrap();
+                run_cell_chunked(cells, reps, 3, &opts, |_, _, _| Ok(()), |(), i| Ok(i)).unwrap();
             assert!(out.is_empty());
         }
         run_indexed(0, &RunOptions::with_jobs(4).with_progress(&progress), Ok).unwrap();

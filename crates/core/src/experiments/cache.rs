@@ -125,8 +125,9 @@ pub fn run_with(
         reps,
         exec::SESSION_REP_BLOCK,
         opts,
-        |cell, first_rep| {
-            MeasurementSession::new(
+        |prev, cell, first_rep| {
+            MeasurementSession::reuse(
+                prev,
                 &cfg_for(Interface::ALL[cell], first_rep),
                 Benchmark::ArrayWalk { iters },
             )

@@ -225,10 +225,11 @@ pub fn panel_with(
         reps,
         SESSION_REP_BLOCK,
         opts,
-        |cell, first_rep| {
+        |prev, cell, first_rep| {
             let (pattern, opt_level) = builds[cell / sizes.len()];
             let iters = sizes[cell % sizes.len()];
-            MeasurementSession::new(
+            MeasurementSession::reuse(
+                prev,
                 &cfg_for(pattern, opt_level, iters, first_rep),
                 Benchmark::Loop { iters },
             )

@@ -225,7 +225,7 @@ pub fn run_slopes_with(
         reps,
         SESSION_REP_BLOCK,
         opts,
-        |cell, first_rep| {
+        |prev, cell, first_rep| {
             let (interface, processor) = pairs[cell / sizes.len()];
             let size = sizes[cell % sizes.len()];
             let cfg = MeasurementConfig::new(processor, interface)
@@ -233,7 +233,7 @@ pub fn run_slopes_with(
                 .with_mode(mode)
                 .with_hz(hz)
                 .with_seed(seed_for(interface, processor, size, first_rep));
-            MeasurementSession::new(&cfg, Benchmark::Loop { iters: size })
+            MeasurementSession::reuse(prev, &cfg, Benchmark::Loop { iters: size })
         },
         |session, idx| {
             let (interface, processor) = pairs[idx / per_pair];
@@ -419,9 +419,10 @@ pub fn run_fig9_with(
         reps,
         SESSION_REP_BLOCK,
         opts,
-        |cell, first_rep| {
+        |prev, cell, first_rep| {
             let size = sizes[cell];
-            MeasurementSession::new(&cfg_for(size, first_rep), Benchmark::Loop { iters: size })
+            let cfg = cfg_for(size, first_rep);
+            MeasurementSession::reuse(prev, &cfg, Benchmark::Loop { iters: size })
         },
         |session, idx| {
             let size = sizes[idx / reps];
@@ -624,9 +625,10 @@ pub fn sweep_records_with(
         reps,
         SESSION_REP_BLOCK,
         opts,
-        |cell, first_rep| {
+        |prev, cell, first_rep| {
             let size = sizes[cell];
-            MeasurementSession::new(&cfg_for(size, first_rep), Benchmark::Loop { iters: size })
+            let cfg = cfg_for(size, first_rep);
+            MeasurementSession::reuse(prev, &cfg, Benchmark::Loop { iters: size })
         },
         |session, idx| {
             let size = sizes[idx / reps];

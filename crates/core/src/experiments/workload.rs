@@ -147,8 +147,9 @@ pub fn run_with(reps: usize, opts: &RunOptions<'_>) -> Result<WorkloadFigure> {
         reps,
         exec::SESSION_REP_BLOCK,
         opts,
-        |cell, first_rep| {
-            MeasurementSession::new(&cfg_for(&cells[cell], cell, first_rep), cells[cell].0)
+        |prev, cell, first_rep| {
+            let cfg = cfg_for(&cells[cell], cell, first_rep);
+            MeasurementSession::reuse(prev, &cfg, cells[cell].0)
         },
         |session, idx| session.run(wa_seed(idx / reps, idx % reps)),
     )?;

@@ -194,11 +194,13 @@ impl Grid {
     /// Runs the whole grid with explicit [`RunOptions`].
     ///
     /// Work is distributed **cell-chunked**: all repetitions of a cell run
-    /// on one worker against one reused [`MeasurementSession`] (or one
-    /// fresh boot per run when [`Grid::fresh_boot`] is set). Records come
-    /// back in cell-enumeration × repetition order no matter how many
-    /// workers run them: `jobs = 1`, `jobs = N`, [`Grid::run`] and both
-    /// boot policies all produce byte-identical record vectors.
+    /// on one worker against one [`MeasurementSession`], which the worker
+    /// re-targets to its next cell when that cell runs on the same
+    /// processor × interface (or one fresh boot per run when
+    /// [`Grid::fresh_boot`] is set). Records come back in
+    /// cell-enumeration × repetition order no matter how many workers run
+    /// them: `jobs = 1`, `jobs = N`, [`Grid::run`] and both boot policies
+    /// all produce byte-identical record vectors.
     ///
     /// # Errors
     ///
@@ -217,7 +219,7 @@ impl Grid {
             self.reps,
             self.reps,
             opts,
-            |ci, first_rep| self.session_for(&cells[ci], first_rep),
+            |prev, ci, first_rep| self.session_for(prev, &cells[ci], first_rep),
             |session, i| {
                 #[expect(clippy::indexing_slicing, reason = "i < cells.len() * reps by dispenser")]
                 let cell = &cells[i / self.reps];
@@ -250,7 +252,7 @@ impl Grid {
             self.reps,
             self.reps,
             opts,
-            |_, _| Ok(()),
+            |_, _, _| Ok(()),
             |(), i| {
                 #[expect(clippy::indexing_slicing, reason = "i < cells.len() * reps by dispenser")]
                 let cell = &cells[i / self.reps];
@@ -262,11 +264,17 @@ impl Grid {
         )
     }
 
-    /// A session for `cell`, booted with the seed of repetition `rep` (so
-    /// that repetition's run consumes the boot state directly).
-    fn session_for(&self, cell: &MeasurementConfig, rep: usize) -> Result<MeasurementSession> {
+    /// A session for `cell` with the seed of repetition `rep` (so a boot
+    /// is armed for that repetition's run), re-targeting `prev` when it
+    /// runs the same stack.
+    fn session_for(
+        &self,
+        prev: Option<MeasurementSession>,
+        cell: &MeasurementConfig,
+        rep: usize,
+    ) -> Result<MeasurementSession> {
         let seed = per_run_seed(self.base_seed, cell, rep);
-        MeasurementSession::new(&MeasurementConfig { seed, ..*cell }, self.benchmark)
+        MeasurementSession::reuse(prev, &MeasurementConfig { seed, ..*cell }, self.benchmark)
     }
 
     /// Runs **one** cell's repetitions, in repetition order, honoring
@@ -299,7 +307,7 @@ impl Grid {
                 records.push(run_measurement(&cfg, self.benchmark)?);
             }
         } else {
-            let mut session = self.session_for(cell, 0)?;
+            let mut session = self.session_for(None, cell, 0)?;
             for rep in 0..self.reps {
                 let seed = per_run_seed(self.base_seed, cell, rep);
                 records.push(session.run(seed)?);
@@ -313,10 +321,12 @@ impl Grid {
     /// entry point.
     ///
     /// Each cell is one work item — its repetitions run in rep order on
-    /// one worker and fold into that cell's accumulator via `step` — so
-    /// the result is **bit-identical at any worker count** (unlike
-    /// worker-sharded folds, see [`exec::run_indexed_fold`]). Resident
-    /// memory is `O(cells × |A|)` regardless of the repetition count.
+    /// one worker's session (re-targeted from cell to cell as in
+    /// [`Grid::run_with`]) and fold into that cell's accumulator via
+    /// `step` — so the result is **bit-identical at any worker count**
+    /// (unlike worker-sharded folds, see [`exec::run_indexed_fold`]).
+    /// Resident memory is `O(cells × |A|)` regardless of the repetition
+    /// count.
     ///
     /// Returns `(cell configuration, accumulator)` pairs in cell
     /// enumeration order; the configuration carries `seed = 0` (the cell's
@@ -342,20 +352,23 @@ impl Grid {
             return self.run_fold_with_measure(opts, init, step, run_measurement);
         }
         let cells: Vec<MeasurementConfig> = self.cells().collect();
-        let accs = exec::run_indexed(cells.len(), opts, |ci| {
-            #[expect(clippy::indexing_slicing, reason = "the engine dispenses ci < cells.len()")]
-            let cell = &cells[ci];
-            let mut acc = init(cell);
-            if self.reps > 0 {
-                let mut session = self.session_for(cell, 0)?;
+        #[expect(clippy::indexing_slicing, reason = "the engine dispenses ci < cells.len()")]
+        let accs = exec::run_cell_chunked(
+            cells.len(),
+            1,
+            1,
+            opts,
+            |prev, ci, _| self.session_for(prev, &cells[ci], 0),
+            |session, ci| {
+                let cell = &cells[ci];
+                let mut acc = init(cell);
                 for rep in 0..self.reps {
-                    let seed = per_run_seed(self.base_seed, cell, rep);
-                    let record = session.run(seed)?;
+                    let record = session.run(per_run_seed(self.base_seed, cell, rep))?;
                     step(&mut acc, &record);
                 }
-            }
-            Ok(acc)
-        })?;
+                Ok(acc)
+            },
+        )?;
         Ok(cells.into_iter().zip(accs).collect())
     }
 
@@ -477,15 +490,18 @@ impl Grid {
             )?;
             return Ok(written);
         }
-        // Session path: bounded batches of whole cells, each cell one
-        // reused session on one worker. Lines reach the sink in the exact
-        // flat order of the batch path, holding at most one batch of
-        // `CSV_CELL_BATCH × reps` records in memory.
+        // Session path: bounded batches of whole cells, each cell run on
+        // one worker's session, the sessions carried from batch to batch.
+        // Lines reach the sink in the exact flat order of the batch path,
+        // holding at most one batch of `CSV_CELL_BATCH × reps` records in
+        // memory.
+        let mut sessions = Vec::new();
         let mut start = 0usize;
         while start < cells.len() {
             let len = CSV_CELL_BATCH.min(cells.len() - start);
             #[expect(clippy::indexing_slicing, reason = "batch length is clamped to len - start")]
-            let records = exec::run_cell_chunked(
+            let records = exec::run_cell_chunked_from(
+                &mut sessions,
                 len,
                 self.reps,
                 self.reps,
@@ -493,7 +509,7 @@ impl Grid {
                     jobs: opts.effective_jobs(total),
                     progress: None,
                 },
-                |c, first_rep| self.session_for(&cells[start + c], first_rep),
+                |prev, c, first_rep| self.session_for(prev, &cells[start + c], first_rep),
                 |session, i| {
                     #[expect(clippy::indexing_slicing, reason = "i ranges over the clamped batch")]
                     let cell = &cells[start + i / self.reps];

@@ -233,9 +233,11 @@ impl AnyInterface {
     /// the same interface and processor with the given `kernel`, `tsc_on`
     /// and `seed` would produce, reusing every allocation.
     ///
-    /// This is the per-repetition reset of
+    /// This is the per-run reset of
     /// [`crate::measure::MeasurementSession`]: within a cell only the
-    /// seed varies, so the session boots once and reseeds instead of
+    /// seed varies, and across the cells of one processor × interface
+    /// only what this takes (kernel config, TSC setting, seed) and the
+    /// per-run setup do, so a session boots once and reseeds instead of
     /// reconstructing the whole simulated stack. Bit-identity with a
     /// fresh boot is locked in by the session equivalence suite.
     ///

@@ -9,13 +9,15 @@
 //!
 //! * [`run_measurement`] — boots a fresh simulated stack for one run: the
 //!   historical path, kept as the equivalence oracle;
-//! * [`MeasurementSession`] — validates and boots **once per cell**, then
-//!   runs any number of seeded repetitions against the same stack via the
+//! * [`MeasurementSession`] — validates a cell and boots its stack, then
+//!   runs any number of seeded repetitions against that stack via the
 //!   reseed path, with the placement, event selection and kernel template
-//!   hoisted out of the per-repetition loop. This is what the grid engine
-//!   uses: cells of the paper's 170 000-measurement sweep differ only in
-//!   their per-run seed, so paying the full boot per repetition was pure
-//!   overhead.
+//!   hoisted out of the per-repetition loop. [`MeasurementSession::reuse`]
+//!   re-targets a finished session to the next cell when both run on the
+//!   same processor × interface, so the engine boots **once per stack per
+//!   worker**, not once per cell: cells of the paper's 170 000-measurement
+//!   sweep differ only in factors the reseed path already restores, so
+//!   paying the full boot per cell (or per repetition) was pure overhead.
 
 // Serving path: a panic here kills a countd worker or a whole sweep, so every
 // unwrap, expect, index or panic carries an `#[expect]` with its proof.
@@ -94,26 +96,25 @@ pub fn placement_for(config: &MeasurementConfig, benchmark: &Benchmark) -> CodeP
 /// [`crate::CoreError::ZeroCounters`] before ever reaching this function,
 /// and this now agrees with them instead of quietly disagreeing.
 pub fn event_selection(primary: Event, counters: usize) -> Vec<Event> {
-    if counters == 0 {
-        return Vec::new();
-    }
-    let mut events = vec![primary];
-    events.extend(
-        Event::ALL
-            .into_iter()
-            .filter(|e| *e != primary)
-            .take(counters - 1),
-    );
-    events
+    selected_events(primary, counters).collect()
+}
+
+/// The sequence [`event_selection`] collects, for callers that refill a
+/// buffer they already own.
+fn selected_events(primary: Event, counters: usize) -> impl Iterator<Item = Event> {
+    std::iter::once(primary)
+        .chain(Event::ALL.into_iter().filter(move |e| *e != primary))
+        .take(counters)
 }
 
 /// The interface-library seed is decorrelated from the kernel seed by a
 /// fixed XOR (both derive from the per-run seed, as they always have).
 const INTERFACE_SEED_XOR: u64 = 0x5EED;
 
-/// A reusable measurement stack for one experiment cell: the simulated
-/// system is validated and booted **once**, then any number of seeded
-/// repetitions run against it through the reseed path.
+/// A reusable measurement stack: the simulated system is validated and
+/// booted once, then any number of seeded repetitions run against it
+/// through the reseed path, and [`MeasurementSession::reuse`] hands it on
+/// to the next cell of the same processor × interface.
 ///
 /// Every run is bit-identical to [`run_measurement`] with the same
 /// configuration and seed — the reseed path restores the exact
@@ -121,7 +122,8 @@ const INTERFACE_SEED_XOR: u64 = 0x5EED;
 /// suite and the pinned golden CSV lock this in). What the session
 /// *avoids* paying per repetition: the simulated stack's construction
 /// and its allocations, the `placement_for` build-fingerprint hash, the
-/// `event_selection` vector, and the `KernelConfig` assembly.
+/// `event_selection` vector, and the `KernelConfig` assembly. After its
+/// first run a session allocates nothing, on every processor × interface.
 ///
 /// # Examples
 ///
@@ -140,6 +142,10 @@ const INTERFACE_SEED_XOR: u64 = 0x5EED;
 ///     let fresh = run_measurement(&cfg.with_seed(seed), Benchmark::Null)?;
 ///     assert_eq!(reused, fresh);
 /// }
+/// // The next cell on the same stack re-targets it instead of booting.
+/// let next = cfg.with_counters(2).with_hz(0);
+/// let mut session = MeasurementSession::reuse(Some(session), &next, Benchmark::Null)?;
+/// assert_eq!(session.run(4)?, run_measurement(&next.with_seed(4), Benchmark::Null)?);
 /// # Ok(()) }
 /// ```
 #[derive(Debug)]
@@ -156,7 +162,7 @@ pub struct MeasurementSession {
     /// of one build (the iteration count is not part of the fingerprint).
     placement: CodePlacement,
     /// Seed the stack is currently booted/reseeded for, or `None` once
-    /// the state has been consumed by a run.
+    /// the state has been consumed by a run (or the session re-targeted).
     armed_for: Option<u64>,
 }
 
@@ -180,6 +186,28 @@ impl MeasurementSession {
     ///   requested number of counters;
     /// * substrate boot errors propagate.
     pub fn new(config: &MeasurementConfig, benchmark: Benchmark) -> Result<Self> {
+        Self::reuse(None, config, benchmark)
+    }
+
+    /// A session for `config`, re-targeting `prev` when it runs the same
+    /// processor × interface and booting a new stack otherwise.
+    ///
+    /// Processor and interface are the only boot-only parameters: the
+    /// timer frequency and the TSC setting go through the reseed every
+    /// run performs, and the event list, placement and kernel template are
+    /// rebuilt here. A re-targeted session reseeds before its first run,
+    /// so its records are bit-identical to [`MeasurementSession::new`]'s
+    /// and to fresh boots. Same-stack reuse allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`MeasurementSession::new`], checked before `prev` is looked at
+    /// (an invalid cell drops `prev`).
+    pub fn reuse(
+        prev: Option<MeasurementSession>,
+        config: &MeasurementConfig,
+        benchmark: Benchmark,
+    ) -> Result<Self> {
         check_supported(config.interface, config.pattern)?;
         if config.counters == 0 {
             return Err(crate::CoreError::ZeroCounters);
@@ -194,6 +222,21 @@ impl MeasurementSession {
         let kernel = KernelConfig::default()
             .with_hz(config.hz)
             .with_seed(config.seed);
+        let placement = placement_for(config, &benchmark);
+        if let Some(mut session) = prev.filter(|s| {
+            s.config.processor == config.processor && s.config.interface == config.interface
+        }) {
+            session.config = *config;
+            session.benchmark = benchmark;
+            session.kernel = kernel;
+            session.events.clear();
+            session
+                .events
+                .extend(selected_events(config.event, config.counters));
+            session.placement = placement;
+            session.armed_for = None;
+            return Ok(session);
+        }
         let api = AnyInterface::boot(
             config.interface,
             config.processor,
@@ -201,14 +244,12 @@ impl MeasurementSession {
             config.tsc_on,
             config.seed ^ INTERFACE_SEED_XOR,
         )?;
-        let events = event_selection(config.event, config.counters);
-        let placement = placement_for(config, &benchmark);
         Ok(MeasurementSession {
             config: *config,
             benchmark,
             kernel,
             api,
-            events,
+            events: event_selection(config.event, config.counters),
             placement,
             armed_for: Some(config.seed),
         })
@@ -304,7 +345,7 @@ impl MeasurementSession {
 ///
 /// This is the fresh-boot path — one complete simulated stack per call,
 /// exactly as the paper ran one process per measurement. The grid engine
-/// reuses a [`MeasurementSession`] per cell instead; this function remains
+/// reuses one [`MeasurementSession`] per stack instead; this function remains
 /// the equivalence oracle the session path is verified against (see
 /// `Grid::fresh_boot`).
 ///

@@ -5,6 +5,8 @@
 //! models the placement-sensitive part of branch prediction: a set-indexed
 //! BTB in which branches at conflicting addresses evict each other.
 
+use crate::icache::LruSets;
+
 /// A set-associative branch target buffer indexed by branch address.
 ///
 /// # Examples
@@ -18,11 +20,7 @@
 /// ```
 #[derive(Debug, Clone)]
 pub struct BranchTargetBuffer {
-    sets: Vec<Vec<u64>>,
-    ways: usize,
-    /// Indices of sets holding at least one entry, so
-    /// [`BranchTargetBuffer::reset`] clears only what was touched.
-    touched: Vec<usize>,
+    sets: LruSets,
 }
 
 impl BranchTargetBuffer {
@@ -30,14 +28,12 @@ impl BranchTargetBuffer {
     ///
     /// # Panics
     ///
-    /// Panics unless `sets` is a power of two and `ways >= 1`.
+    /// Panics unless `sets` is a power of two and `1 <= ways <= 255`.
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets.is_power_of_two(), "BTB sets must be a power of two");
         assert!(ways >= 1, "BTB needs at least one way");
         BranchTargetBuffer {
-            sets: vec![Vec::with_capacity(ways); sets],
-            ways,
-            touched: Vec::new(),
+            sets: LruSets::new(sets, ways),
         }
     }
 
@@ -45,48 +41,30 @@ impl BranchTargetBuffer {
     /// while keeping all allocations (the reuse path of measurement
     /// sessions).
     pub fn reset(&mut self) {
-        for &idx in &self.touched {
-            self.sets[idx].clear();
-        }
-        self.touched.clear();
+        self.sets.reset();
     }
 
     /// Number of sets.
     pub fn set_count(&self) -> usize {
-        self.sets.len()
+        self.sets.set_count()
     }
 
     /// Associativity.
     pub fn ways(&self) -> usize {
-        self.ways
+        self.sets.ways()
     }
 
     /// The set index a branch at `addr` maps to. Real BTBs index by the
     /// low-order branch address bits above the 4-byte position bits.
     pub fn set_index(&self, addr: u64) -> usize {
-        ((addr >> 2) as usize) & (self.sets.len() - 1)
+        ((addr >> 2) as usize) & (self.sets.set_count() - 1)
     }
 
     /// Looks up the branch at `addr`; returns whether it was present
     /// (predicted), and inserts/refreshes it (LRU).
     pub fn lookup_insert(&mut self, addr: u64) -> bool {
         let idx = self.set_index(addr);
-        let set = &mut self.sets[idx];
-        if let Some(pos) = set.iter().position(|&a| a == addr) {
-            // Move to MRU position.
-            let a = set.remove(pos);
-            set.push(a);
-            true
-        } else {
-            if set.is_empty() {
-                self.touched.push(idx);
-            }
-            if set.len() == self.ways {
-                set.remove(0); // evict LRU
-            }
-            set.push(addr);
-            false
-        }
+        self.sets.lookup_insert(idx, addr)
     }
 
     /// Whether two branch addresses contend for the same set.

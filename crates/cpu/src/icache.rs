@@ -19,12 +19,7 @@
 #[derive(Debug, Clone)]
 pub struct ICache {
     line_bytes: u64,
-    sets: Vec<Vec<u64>>,
-    ways: usize,
-    /// Indices of sets that currently hold at least one line, so
-    /// [`ICache::reset`] clears only what a run actually touched instead
-    /// of walking every set of a large cache.
-    touched: Vec<usize>,
+    sets: LruSets,
 }
 
 impl ICache {
@@ -34,7 +29,7 @@ impl ICache {
     /// # Panics
     ///
     /// Panics unless the geometry divides evenly and the set count is a
-    /// power of two.
+    /// power of two, or beyond 255 ways.
     pub fn new(size_bytes: u64, line_bytes: u64, ways: usize) -> Self {
         assert!(
             line_bytes.is_power_of_two(),
@@ -48,9 +43,7 @@ impl ICache {
         );
         ICache {
             line_bytes,
-            sets: vec![Vec::with_capacity(ways); sets],
-            ways,
-            touched: Vec::new(),
+            sets: LruSets::new(sets, ways),
         }
     }
 
@@ -59,10 +52,7 @@ impl ICache {
     /// sessions). Equivalent to, but much cheaper than, rebuilding with
     /// [`ICache::new`].
     pub fn reset(&mut self) {
-        for &idx in &self.touched {
-            self.sets[idx].clear();
-        }
-        self.touched.clear();
+        self.sets.reset();
     }
 
     /// Cache line size in bytes.
@@ -72,29 +62,15 @@ impl ICache {
 
     /// Number of sets.
     pub fn set_count(&self) -> usize {
-        self.sets.len()
+        self.sets.set_count()
     }
 
     /// Accesses the byte at `addr`; returns `true` on hit. Misses fill the
     /// line (LRU within the set).
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr / self.line_bytes;
-        let idx = (line as usize) & (self.sets.len() - 1);
-        let set = &mut self.sets[idx];
-        if let Some(pos) = set.iter().position(|&l| l == line) {
-            let l = set.remove(pos);
-            set.push(l);
-            true
-        } else {
-            if set.is_empty() {
-                self.touched.push(idx);
-            }
-            if set.len() == self.ways {
-                set.remove(0);
-            }
-            set.push(line);
-            false
-        }
+        let idx = (line as usize) & (self.sets.set_count() - 1);
+        self.sets.lookup_insert(idx, line)
     }
 
     /// Accesses a code block of `bytes` starting at `addr`; returns the
@@ -120,6 +96,82 @@ impl ICache {
             return 0;
         }
         (addr + bytes - 1) / self.line_bytes - addr / self.line_bytes + 1
+    }
+}
+
+/// `sets × ways` tags with LRU replacement within each set: the storage
+/// shared by [`ICache`] and [`crate::branch::BranchTargetBuffer`].
+///
+/// Every buffer is sized at construction: all tags live in one slot array
+/// (a set's resident tags are its first `fill[set]` slots, least recently
+/// used first) and the touched list has room for every set, so no access
+/// ever allocates.
+#[derive(Debug, Clone)]
+pub(crate) struct LruSets {
+    ways: usize,
+    slots: Vec<u64>,
+    fill: Vec<u8>,
+    /// Indices of sets that currently hold at least one tag, so
+    /// [`LruSets::reset`] clears only what a run actually touched instead
+    /// of walking every set of a large structure.
+    touched: Vec<u32>,
+}
+
+impl LruSets {
+    /// # Panics
+    ///
+    /// Panics beyond 255 ways or 2³² − 1 sets.
+    pub(crate) fn new(sets: usize, ways: usize) -> Self {
+        assert!(ways <= usize::from(u8::MAX), "at most 255 ways");
+        assert!(u32::try_from(sets).is_ok(), "at most 2^32 - 1 sets");
+        LruSets {
+            ways,
+            slots: vec![0; sets * ways],
+            fill: vec![0; sets],
+            touched: Vec::with_capacity(sets),
+        }
+    }
+
+    pub(crate) fn set_count(&self) -> usize {
+        self.fill.len()
+    }
+
+    pub(crate) fn ways(&self) -> usize {
+        self.ways
+    }
+
+    /// Empties every touched set.
+    pub(crate) fn reset(&mut self) {
+        for &idx in &self.touched {
+            self.fill[idx as usize] = 0;
+        }
+        self.touched.clear();
+    }
+
+    /// Looks `tag` up in set `idx`; returns whether it was resident. Either
+    /// way the tag ends up most recently used, evicting the set's least
+    /// recently used tag when the set is full.
+    pub(crate) fn lookup_insert(&mut self, idx: usize, tag: u64) -> bool {
+        let fill = usize::from(self.fill[idx]);
+        let set = &mut self.slots[idx * self.ways..(idx + 1) * self.ways];
+        if let Some(pos) = set[..fill].iter().position(|&t| t == tag) {
+            set[pos..fill].rotate_left(1);
+            return true;
+        }
+        if fill == 0 {
+            // Lossless: `new` checked that every set index fits.
+            self.touched.push(idx as u32);
+        }
+        let fill = if fill == self.ways {
+            set.rotate_left(1);
+            fill
+        } else {
+            fill + 1
+        };
+        set[fill - 1] = tag;
+        // Lossless: `fill <= ways <= 255`.
+        self.fill[idx] = fill as u8;
+        false
     }
 }
 
@@ -229,6 +281,50 @@ mod tests {
         ic.access(64);
         assert!(ic.access(0));
         assert!(ic.access(64));
+    }
+
+    /// The slot-array sets keep exactly the LRU order of one `Vec` per
+    /// set (the layout they replaced): same hits, same residents, across
+    /// resets, for 1-, 2-, 3- and 8-way geometries.
+    #[test]
+    fn lru_sets_match_vec_per_set_model() {
+        for (sets, ways) in [(4, 1), (4, 2), (2, 3), (8, 8)] {
+            let mut lru = LruSets::new(sets, ways);
+            let mut model: Vec<Vec<u64>> = vec![Vec::new(); sets];
+            let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ (sets * ways) as u64;
+            for step in 0..4_000 {
+                if step % 700 == 699 {
+                    lru.reset();
+                    model.iter_mut().for_each(Vec::clear);
+                }
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let tag = x % (3 * (sets * ways) as u64);
+                let idx = (tag as usize) % sets;
+                let set = &mut model[idx];
+                let hit = match set.iter().position(|&t| t == tag) {
+                    Some(pos) => {
+                        set.remove(pos);
+                        true
+                    }
+                    None => {
+                        if set.len() == ways {
+                            set.remove(0);
+                        }
+                        false
+                    }
+                };
+                set.push(tag);
+                assert_eq!(
+                    lru.lookup_insert(idx, tag),
+                    hit,
+                    "{sets}x{ways} step {step}"
+                );
+                let fill = usize::from(lru.fill[idx]);
+                assert_eq!(&lru.slots[idx * ways..idx * ways + fill], &set[..]);
+            }
+        }
     }
 
     #[test]

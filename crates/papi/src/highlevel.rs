@@ -11,6 +11,7 @@
 //!    reading, which is why the high-level API cannot express the
 //!    read-read and read-stop patterns (§3.5).
 
+use counterlab_cpu::pmu::{CountMode, Event};
 use counterlab_kernel::syscall::user_code_mix;
 use counterlab_kernel::system::System;
 
@@ -51,6 +52,11 @@ pub struct PapiHighLevel {
     events: Vec<PapiPreset>,
     domain: PapiDomain,
     running: bool,
+    /// Reused (native event, mode) pairs handed to the substrate by
+    /// `PAPI_start_counters`, so a measurement loop allocates nothing.
+    native: Vec<(Event, CountMode)>,
+    /// Reused counter sample of the read/accum/stop calls — same purpose.
+    sample: Vec<u64>,
 }
 
 impl PapiHighLevel {
@@ -83,6 +89,8 @@ impl PapiHighLevel {
             events: Vec::new(),
             domain: PapiDomain::default(),
             running: false,
+            native: Vec::new(),
+            sample: Vec::new(),
         })
     }
 
@@ -161,11 +169,14 @@ impl PapiHighLevel {
         }
         self.wrap_pre();
         let mode = self.domain.to_mode();
-        let native: Vec<_> = presets.iter().map(|p| (p.to_native(), mode)).collect();
-        self.backend.configure(&native)?;
+        self.native.clear();
+        self.native
+            .extend(presets.iter().map(|p| (p.to_native(), mode)));
+        self.backend.configure(&self.native)?;
         self.backend.start()?;
         self.wrap_post();
-        self.events = presets.to_vec();
+        self.events.clear();
+        self.events.extend_from_slice(presets);
         self.running = true;
         Ok(())
     }
@@ -192,10 +203,10 @@ impl PapiHighLevel {
             });
         }
         self.wrap_pre();
-        let sample = self.backend.read()?;
+        self.backend.read_into(&mut self.sample)?;
         self.backend.reset()?;
         self.wrap_post();
-        for (dst, v) in values.iter_mut().zip(sample) {
+        for (dst, &v) in values.iter_mut().zip(&self.sample) {
             *dst = v as i64;
         }
         Ok(())
@@ -220,10 +231,10 @@ impl PapiHighLevel {
             });
         }
         self.wrap_pre();
-        let sample = self.backend.read()?;
+        self.backend.read_into(&mut self.sample)?;
         self.backend.reset()?;
         self.wrap_post();
-        for (dst, v) in values.iter_mut().zip(sample) {
+        for (dst, &v) in values.iter_mut().zip(&self.sample) {
             *dst += v as i64;
         }
         Ok(())
@@ -249,9 +260,9 @@ impl PapiHighLevel {
         }
         self.wrap_pre();
         self.backend.stop()?;
-        let sample = self.backend.read()?;
+        self.backend.read_into(&mut self.sample)?;
         self.wrap_post();
-        for (dst, v) in values.iter_mut().zip(sample) {
+        for (dst, &v) in values.iter_mut().zip(&self.sample) {
             *dst = v as i64;
         }
         self.running = false;

@@ -58,6 +58,12 @@ pub struct PapiLowLevel {
     domain: PapiDomain,
     state: EventSetState,
     configured: bool,
+    /// Reused (native event, mode) pairs handed to the substrate when the
+    /// event set is (re)configured, so a measurement loop allocates
+    /// nothing.
+    native: Vec<(Event, CountMode)>,
+    /// Reused counter sample of `PAPI_accum` — same purpose.
+    sample: Vec<u64>,
 }
 
 impl PapiLowLevel {
@@ -91,6 +97,8 @@ impl PapiLowLevel {
             domain: PapiDomain::default(),
             state: EventSetState::Stopped,
             configured: false,
+            native: Vec::new(),
+            sample: Vec::new(),
         })
     }
 
@@ -259,10 +267,10 @@ impl PapiLowLevel {
             });
         }
         self.wrap_pre();
-        let sample = self.backend.read()?;
+        self.backend.read_into(&mut self.sample)?;
         self.backend.reset()?;
         self.wrap_post();
-        for (acc, v) in values.iter_mut().zip(sample) {
+        for (acc, &v) in values.iter_mut().zip(&self.sample) {
             *acc += v;
         }
         Ok(())
@@ -317,9 +325,10 @@ impl PapiLowLevel {
     fn ensure_configured(&mut self) -> Result<()> {
         if !self.configured {
             let mode = self.domain.to_mode();
-            let native: Vec<(Event, CountMode)> =
-                self.events.iter().map(|p| (p.to_native(), mode)).collect();
-            self.backend.configure(&native)?;
+            self.native.clear();
+            self.native
+                .extend(self.events.iter().map(|p| (p.to_native(), mode)));
+            self.backend.configure(&self.native)?;
             self.configured = true;
         }
         Ok(())

@@ -10,13 +10,14 @@
 //! speed.
 
 use counterlab::benchmark::Benchmark;
-use counterlab::config::MeasurementConfig;
+use counterlab::config::{MeasurementConfig, OptLevel};
 use counterlab::exec::RunOptions;
 use counterlab::grid::Grid;
 use counterlab::interface::{CountingMode, Interface};
 use counterlab::measure::{run_measurement, MeasurementSession};
 use counterlab::pattern::Pattern;
 use counterlab::prelude::*;
+use counterlab_cpu::pmu::Event;
 use proptest::prelude::*;
 
 fn arb_processor() -> impl Strategy<Value = Processor> {
@@ -63,6 +64,42 @@ fn arb_benchmark() -> impl Strategy<Value = Benchmark> {
         (1u64..500).prop_map(|iters| Benchmark::SyscallHeavy { iters }),
         (1u64..2_000).prop_map(|iters| Benchmark::NestedLoop { iters }),
     ]
+}
+
+/// An arbitrary cell, valid or not, on stack `home + offset` of the 18
+/// processor × interface stacks — the offset is 0 for most cells, so a
+/// chain of cells mostly re-targets one stack and now and then moves to
+/// another. Everything else is arbitrary: pattern (read-first patterns are
+/// unsupported on PAPI high level), build optimization level, counting
+/// mode, event, counter count (0 and counts beyond the processor's
+/// registers are invalid), TSC setting, timer frequency, zoo benchmark
+/// (short, or long enough for timer ticks to land) and boot seed (often a
+/// shared one, so a session handed on unrun meets a cell armed for the
+/// same seed).
+fn arb_cell() -> impl Strategy<Value = (usize, MeasurementConfig, Benchmark)> {
+    (
+        prop_oneof![Just(0usize), Just(0usize), Just(0usize), 0usize..18],
+        (0usize..4, 0usize..4, 0usize..3, 0usize..Event::ALL.len()),
+        prop_oneof![1usize..=4, 1usize..=4, 0usize..=5],
+        any::<bool>(),
+        prop_oneof![Just(0u32), Just(250u32), Just(1000u32)],
+        (0usize..8, prop_oneof![1u64..3_000, 1_000_000u64..8_000_000]),
+        prop_oneof![Just(7u64), any::<u64>()],
+    )
+        .prop_map(
+            |(offset, (pat, opt, mode, event), counters, tsc_on, hz, (b, iters), seed)| {
+                let cfg = MeasurementConfig::new(Processor::Core2Duo, Interface::Pm)
+                    .with_pattern(Pattern::ALL[pat])
+                    .with_opt_level(OptLevel::ALL[opt])
+                    .with_mode(CountingMode::ALL[mode])
+                    .with_event(Event::ALL[event])
+                    .with_counters(counters)
+                    .with_tsc(tsc_on)
+                    .with_hz(hz)
+                    .with_seed(seed);
+                (offset, cfg, Benchmark::zoo(iters)[b])
+            },
+        )
 }
 
 /// A random small grid: enough cells to exercise the skipping rules and
@@ -169,6 +206,48 @@ proptest! {
             let reused = session.run(seed).unwrap();
             let fresh = run_measurement(&cfg.with_seed(seed), benchmark).unwrap();
             prop_assert_eq!(reused, fresh, "seed = {}", seed);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One chain of `MeasurementSession::reuse` calls over an arbitrary
+    /// sequence of cells — same stack or not, valid or not — gives every
+    /// valid cell records bit-identical to fresh boots (its boot seed
+    /// first, then another seed; sessions are also handed on after no
+    /// run), and every invalid cell the very error
+    /// `MeasurementSession::new` gives it.
+    #[test]
+    fn reuse_chain_matches_fresh_boots(
+        home in 0usize..18,
+        cells in proptest::collection::vec((arb_cell(), 0usize..4), 1..10),
+        extra_seed in any::<u64>(),
+    ) {
+        let processors = [Processor::PentiumD, Processor::Core2Duo, Processor::AthlonK8];
+        let mut prev = None;
+        for ((offset, cfg, benchmark), runs) in cells {
+            let stack = (home + offset) % 18;
+            let cfg = MeasurementConfig {
+                processor: processors[stack / 6],
+                interface: Interface::ALL[stack % 6],
+                ..cfg
+            };
+            match MeasurementSession::reuse(prev.take(), &cfg, benchmark) {
+                Ok(mut session) => {
+                    for &seed in [cfg.seed, extra_seed, cfg.seed].iter().take(runs) {
+                        let fresh = run_measurement(&cfg.with_seed(seed), benchmark).unwrap();
+                        prop_assert_eq!(session.run(seed).unwrap(), fresh, "{:?}", cfg);
+                    }
+                    prev = Some(session);
+                }
+                Err(err) => {
+                    let boot = MeasurementSession::new(&cfg, benchmark).unwrap_err();
+                    prop_assert_eq!(&err, &boot, "{:?}", cfg);
+                    prop_assert_eq!(&err, &run_measurement(&cfg, benchmark).unwrap_err());
+                }
+            }
         }
     }
 }
