@@ -15,9 +15,9 @@
 //! 3. **`csv_stream`** — the streaming CSV export of the full null grid,
 //!    both boot policies, outputs checksum-compared.
 //! 4. **`workload_zoo`** — the `workload-accuracy` sweep (every zoo
-//!    kernel × oracle event × interface): the session engine against
-//!    fresh-boot streaming, record vectors asserted bit-identical before
-//!    the speedup is reported.
+//!    kernel × oracle event × interface): the session engine against its
+//!    fresh-boot oracle, record vectors asserted bit-identical before the
+//!    speedup is reported.
 //! 5. **`served_grid`** (`--served`) — the same null grid requested from
 //!    an in-process countd ([`counterlab::serve`]): one cold request
 //!    (all cells computed, cache filled) and the best of three warm
@@ -267,8 +267,8 @@ pub fn run(
         csv_session.json()
     ));
 
-    // 4. The workload-accuracy zoo sweep: session engine vs fresh-boot
-    // streaming. The zoo's heavier kernels (pointer chase, syscalls)
+    // 4. The workload-accuracy zoo sweep: session engine vs its
+    // fresh-boot oracle. The zoo's heavier kernels (pointer chase, syscalls)
     // exercise simulation paths the null grid never touches.
     let zreps = scale.grid_reps.max(counterlab::experiments::workload::WorkloadAccuracy::MIN_REPS);
     let zcells = counterlab::experiments::workload::cells().len();

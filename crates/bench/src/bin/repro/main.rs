@@ -66,9 +66,9 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut bench = false;
     let mut bench_json = PathBuf::from(BENCH_JSON);
     let mut json_given = false;
-    // Streaming engine: constant-memory per-cell aggregation. Experiments
-    // whose capabilities don't claim streaming run batch as usual, and
-    // `csv` output is byte-identical either way.
+    // Streaming engine: constant-memory per-cell aggregation on the null
+    // grid. Experiments whose capabilities don't claim streaming ignore
+    // it: their output is byte-identical either way.
     let mut stream = false;
     // 0 = one worker per available CPU (the engine default).
     let mut jobs: usize = 0;
@@ -722,12 +722,12 @@ OPTIONS:
   --json PATH                   bench: where the results JSON lands
                                 (default {BENCH_JSON})
   --stream                      run on the streaming statistics engine:
-                                constant-memory per-cell aggregation.
-                                csv output is byte-identical; figure
-                                summaries match the batch engine (P2
-                                quartiles beyond the exact window).
+                                constant-memory per-cell aggregation;
+                                figure summaries match the batch engine
+                                (P2 quartiles beyond the exact window).
                                 {streaming};
-                                other commands run batch as usual.
+                                other commands ignore it (identical
+                                output).
 
 COMMANDS:
 {commands}

@@ -10,16 +10,17 @@
 //! [`run_indexed_with`] is that engine's one worker loop: a
 //! dependency-free thread pool built on [`std::thread::scope`] and an
 //! atomic work index over `0..total`, where each worker owns one state
-//! for the whole call. The others are thin wrappers over it:
+//! for the whole call. Every sweep runs on it through
+//! [`run_cell_chunked`]: blocks of a cell's repetitions run against a
+//! per-block state built from the worker's previous one — a measurement
+//! session re-targeted instead of booted, so a worker boots each
+//! simulated stack once, not once per cell — and the results come back in
+//! flat `cell × repetition` order at any worker count. [`run_indexed`] is
+//! its one-repetition, stateless special case.
 //!
-//! * [`run_indexed`] returns results in index order regardless of worker
-//!   count, so `jobs = 1` and `jobs = N` produce byte-identical record
-//!   vectors;
-//! * [`run_indexed_fold`] folds into per-worker shards;
-//! * [`run_cell_chunked`] runs blocks of a cell's repetitions against a
-//!   per-block state built from the worker's previous one — a measurement
-//!   session re-targeted instead of booted, so a worker boots each
-//!   simulated stack once, not once per cell.
+//! A driver that folds instead of collecting makes the whole cell one work
+//! item and folds inside it, so every fold is per cell and bit-identical
+//! at any `jobs` value; nothing is ever sharded by worker.
 //!
 //! Everywhere, the first failure (by index, not by wall clock) is
 //! propagated after in-flight work drains. At most one state lives per
@@ -272,48 +273,6 @@ where
     run_cell_chunked(total, 1, 1, opts, |_, _, _| Ok(()), |(), i| work(i))
 }
 
-/// Runs `work(0..total)` across the configured workers, folding each
-/// item into a per-worker **shard accumulator** instead of materializing
-/// a result vector, and merges the shards **lowest-worker-first**.
-///
-/// This is the constant-memory backbone of the streaming statistics
-/// engine: memory is `O(jobs × |A|)` regardless of `total`. Error
-/// semantics are those of [`run_indexed_with`], whose per-worker state
-/// the shard is.
-///
-/// # Determinism
-///
-/// Which items land in which shard depends on scheduling, so the final
-/// value is bit-reproducible only when the accumulator is
-/// *partition-insensitive* (integer counts, min/max, exact sums).
-/// Floating-point accumulators such as
-/// [`counterlab_stats::stream::Welford`] agree across worker counts to
-/// ≤ 1e-9 relative error (their merge is associative up to rounding); the
-/// equivalence suite locks that tolerance in. When bit-exactness is
-/// required, fold **per cell** instead ([`crate::grid::Grid::run_fold`]
-/// makes the whole cell one work item, which is exact at any `jobs`).
-///
-/// # Errors
-///
-/// The lowest-index error produced by `work`.
-pub fn run_indexed_fold<'a, A, N, F, M>(
-    total: usize,
-    opts: &RunOptions<'a>,
-    new_shard: N,
-    work: F,
-    merge: M,
-) -> Result<A>
-where
-    A: Send,
-    N: Fn() -> A + Sync,
-    F: Fn(usize, &mut A) -> Result<()> + Sync,
-    M: FnMut(A, A) -> A,
-{
-    let shards = run_indexed_with(total, opts, |_| new_shard(), |shard, i| work(i, shard))?;
-    // `run_indexed_with` returns at least one state.
-    Ok(shards.into_iter().reduce(merge).unwrap_or_else(new_shard))
-}
-
 /// Runs `cells × reps` work items grouped **by cell**: each block of a
 /// cell's repetitions is one work item claimed by one worker, which
 /// builds the block's state (`state(prev, cell, first_rep)`, typically a
@@ -467,57 +426,6 @@ struct Worker<S, T> {
     values: Vec<T>,
     blocks: Vec<usize>,
     solo: bool,
-}
-
-/// Chunk size of [`run_indexed_each`]: large enough to amortize pool
-/// startup, small enough that resident memory stays flat.
-const EACH_CHUNK: usize = 2048;
-
-/// Runs `work(0..total)` across the configured workers and hands each
-/// result to `each` **in index order**, holding at most one bounded chunk
-/// of results in memory at a time.
-///
-/// The observable output (call order and values of `each`) is
-/// byte-identical to iterating [`run_indexed`]'s vector, at any worker
-/// count — this is what keeps `repro --stream csv` bit-equal to the batch
-/// path while using `O(1)` memory in the record count.
-///
-/// # Errors
-///
-/// The lowest-index error produced by `work`; `each` is never called for
-/// indices at or beyond a failed chunk's error.
-pub fn run_indexed_each<'a, T, F, S>(
-    total: usize,
-    opts: &RunOptions<'a>,
-    work: F,
-    mut each: S,
-) -> Result<()>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T> + Sync,
-    S: FnMut(usize, T),
-{
-    let mut start = 0;
-    while start < total {
-        let len = EACH_CHUNK.min(total - start);
-        // Progress inside the chunk is offset to stay monotone over the
-        // whole run.
-        let progress_shim = |done: usize, _chunk_total: usize| {
-            if let Some(progress) = opts.progress {
-                progress(start + done, total);
-            }
-        };
-        let chunk_opts = RunOptions {
-            jobs: opts.effective_jobs(total),
-            progress: opts.progress.is_some().then_some(&progress_shim),
-        };
-        let chunk = run_indexed(len, &chunk_opts, |i| work(start + i))?;
-        for (offset, value) in chunk.into_iter().enumerate() {
-            each(start + offset, value);
-        }
-        start += len;
-    }
-    Ok(())
 }
 
 /// Scheduling class of a job submitted to a [`PriorityPool`].
@@ -772,92 +680,6 @@ mod tests {
         };
         let err = run_indexed(64, &RunOptions::with_jobs(4), work).unwrap_err();
         assert!(err.to_string().contains("all fail"));
-    }
-
-    #[test]
-    fn fold_sums_match_at_any_worker_count() {
-        // Integer sums are partition-insensitive, so the fold must be
-        // bit-exact at every jobs value.
-        let expected: u64 = (0..1000u64).map(|i| i * i).sum();
-        for jobs in [1, 2, 4, 8] {
-            let sum = run_indexed_fold(
-                1000,
-                &RunOptions::with_jobs(jobs),
-                || 0u64,
-                |i, acc| {
-                    *acc += (i as u64) * (i as u64);
-                    Ok(())
-                },
-                |a, b| a + b,
-            )
-            .unwrap();
-            assert_eq!(sum, expected, "jobs = {jobs}");
-        }
-    }
-
-    #[test]
-    fn fold_merges_every_shard_in_one_left_fold() {
-        // Workers are externally indistinguishable, so "lowest-worker-
-        // first" cannot be observed from outside (it exists to make the
-        // merge order a fixed left fold over spawn order rather than
-        // join-completion order). What *is* observable: exactly
-        // `jobs − 1` merges happen, every original shard enters the fold
-        // exactly once as a right argument, nothing is lost, and — the
-        // contract that matters to accumulators — partition-insensitive
-        // folds come out exact (fold_sums_match_at_any_worker_count).
-        let merge_count = AtomicUsize::new(0);
-        let merged = run_indexed_fold(
-            64,
-            &RunOptions::with_jobs(4),
-            Vec::new,
-            |i, acc: &mut Vec<usize>| {
-                acc.push(i);
-                Ok(())
-            },
-            |mut a, b| {
-                merge_count.fetch_add(1, Ordering::Relaxed);
-                a.extend(b);
-                a
-            },
-        )
-        .unwrap();
-        assert_eq!(merge_count.load(Ordering::Relaxed), 3, "jobs − 1 merges");
-        let mut sorted = merged.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fold_lowest_index_error_wins() {
-        let work = |i: usize, acc: &mut u64| {
-            if i % 10 == 3 {
-                return Err(CoreError::InvalidConfig(format!("fold boom at {i}")));
-            }
-            *acc += 1;
-            Ok(())
-        };
-        for jobs in [1, 2, 4, 8] {
-            let err =
-                run_indexed_fold(100, &RunOptions::with_jobs(jobs), || 0u64, work, |a, b| a + b)
-                    .unwrap_err();
-            assert!(
-                err.to_string().contains("fold boom at 3"),
-                "jobs = {jobs}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn fold_empty_returns_initial_shard() {
-        let v = run_indexed_fold(
-            0,
-            &RunOptions::with_jobs(4),
-            || 7u64,
-            |_, _| Ok(()),
-            |a, b| a + b,
-        )
-        .unwrap();
-        assert_eq!(v, 7);
     }
 
     #[test]
@@ -1150,13 +972,6 @@ mod tests {
             assert!(out.is_empty());
         }
         run_indexed(0, &RunOptions::with_jobs(4).with_progress(&progress), Ok).unwrap();
-        run_indexed_each(
-            0,
-            &RunOptions::with_jobs(4).with_progress(&progress),
-            Ok,
-            |_, _: usize| {},
-        )
-        .unwrap();
     }
 
     #[test]
@@ -1218,39 +1033,6 @@ mod tests {
         });
         drop(pool);
         assert_eq!(ran.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn each_streams_in_index_order() {
-        let work = |i: usize| Ok(i * 3);
-        for jobs in [1, 3, 8] {
-            let mut seen = Vec::new();
-            run_indexed_each(EACH_CHUNK * 2 + 17, &RunOptions::with_jobs(jobs), work, |i, v| {
-                seen.push((i, v));
-            })
-            .unwrap();
-            assert_eq!(seen.len(), EACH_CHUNK * 2 + 17);
-            for (at, (i, v)) in seen.iter().enumerate() {
-                assert_eq!((at, at * 3), (*i, *v), "jobs = {jobs}");
-            }
-        }
-    }
-
-    #[test]
-    fn each_propagates_lowest_index_error() {
-        let work = |i: usize| -> Result<usize> {
-            if i == 5 {
-                Err(CoreError::InvalidConfig("each boom".into()))
-            } else {
-                Ok(i)
-            }
-        };
-        let mut last = None;
-        let err = run_indexed_each(100, &RunOptions::with_jobs(4), work, |i, _| last = Some(i))
-            .unwrap_err();
-        assert!(err.to_string().contains("each boom"));
-        // Nothing past the failing chunk was delivered.
-        assert!(last.is_none_or(|i| i < EACH_CHUNK));
     }
 
     #[test]

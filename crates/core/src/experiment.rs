@@ -127,9 +127,11 @@ pub enum EngineMode {
     /// whiskers, outliers, bootstrap CIs).
     #[default]
     Batch,
-    /// Fold records into constant-memory accumulators on the workers
-    /// ([`counterlab_stats::stream`]); summaries agree with batch within
-    /// the documented tolerances.
+    /// Fold each null-grid cell's records into a constant-memory
+    /// accumulator ([`counterlab_stats::stream`]) instead of materializing
+    /// them; summaries agree with batch within the documented tolerances.
+    /// Only experiments whose [`Capabilities::streaming`] is set (fig1,
+    /// table3, anova) have such a driver.
     Streaming,
 }
 
@@ -146,8 +148,9 @@ pub struct Ablation {
 /// What an experiment can do beyond a plain batch run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Capabilities {
-    /// Whether [`EngineMode::Streaming`] selects a real streaming
-    /// implementation (otherwise the experiment always runs batch).
+    /// Whether [`EngineMode::Streaming`] selects a second, constant-memory
+    /// driver. Otherwise the experiment has one driver and ignores the
+    /// mode bit for bit.
     pub streaming: bool,
     /// Ablation flags this experiment accepts.
     pub ablations: &'static [Ablation],

@@ -12,14 +12,13 @@
 use counterlab_cpu::pmu::Event;
 use counterlab_cpu::uarch::Processor;
 use counterlab_stats::boxplot::BoxPlot;
-use counterlab_stats::stream::SummaryAccumulator;
 
 use crate::benchmark::Benchmark;
 use crate::config::MeasurementConfig;
 use crate::exec::{self, RunOptions};
-use crate::experiment::{Capabilities, EngineMode, Experiment, ExperimentCtx, Report};
+use crate::experiment::{Experiment, ExperimentCtx, Report};
 use crate::interface::{CountingMode, Interface};
-use crate::measure::{run_measurement, MeasurementSession};
+use crate::measure::MeasurementSession;
 use crate::pattern::Pattern;
 use crate::report;
 use crate::{CoreError, Result};
@@ -30,8 +29,8 @@ pub fn expected_misses(iters: u64) -> u64 {
 }
 
 /// The per-run seed of the cache sweep — one definition shared by the
-/// batch and streaming paths and by the session boot (so the first
-/// repetition's run consumes the boot state directly).
+/// runs and the session boot (so the first repetition's run consumes the
+/// boot state directly).
 fn cache_seed(interface: Interface, rep: usize) -> u64 {
     0xCAC4E ^ (rep as u64) << 8 ^ (interface as u64)
 }
@@ -80,21 +79,10 @@ impl Experiment for ExtCache {
         "extension: d-cache miss accuracy (Korn-style array walk, K8)"
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::STREAMING
-    }
-
     fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
         let reps = ctx.scale.grid_reps.max(Self::MIN_REPS);
-        let text = match self.engine(ctx) {
-            EngineMode::Streaming => {
-                run_streaming_with(Processor::AthlonK8, Self::ITERS, reps, &ctx.opts)?.render()
-            }
-            EngineMode::Batch => {
-                run_with(Processor::AthlonK8, Self::ITERS, reps, &ctx.opts)?.render()
-            }
-        };
-        Ok(Report::text("ext-cache.txt", text))
+        let fig = run_with(Processor::AthlonK8, Self::ITERS, reps, &ctx.opts)?;
+        Ok(Report::text("ext-cache.txt", fig.render()))
     }
 }
 
@@ -155,114 +143,6 @@ pub fn run_with(
         iters,
         expected,
     })
-}
-
-/// One streamed row: an interface's d-cache-miss excess summary.
-#[derive(Debug, Clone)]
-pub struct StreamingCacheRow {
-    /// The interface.
-    pub interface: Interface,
-    /// Excess-miss summary (measured − expected misses).
-    pub summary: counterlab_stats::descriptive::Summary,
-}
-
-/// The cache-accuracy experiment on the streaming engine.
-#[derive(Debug, Clone)]
-pub struct StreamingCacheFigure {
-    /// One row per interface.
-    pub rows: Vec<StreamingCacheRow>,
-    /// Iterations of the array walk used.
-    pub iters: u64,
-    /// The analytical miss count.
-    pub expected: u64,
-}
-
-/// [`run_with`] on the streaming engine: the same sweep (same seeds) folding
-/// each excess-miss observation into a per-interface
-/// [`SummaryAccumulator`] on the worker that measured it.
-///
-/// # Errors
-///
-/// Propagates measurement and statistics failures.
-pub fn run_streaming_with(
-    processor: Processor,
-    iters: u64,
-    reps: usize,
-    opts: &RunOptions<'_>,
-) -> Result<StreamingCacheFigure> {
-    let expected = expected_misses(iters);
-    let reps = reps.max(2);
-    let accs = exec::run_indexed_fold(
-        Interface::ALL.len() * reps,
-        opts,
-        || vec![SummaryAccumulator::new(); Interface::ALL.len()],
-        |idx, shard| {
-            let interface = Interface::ALL[idx / reps];
-            let rep = idx % reps;
-            // Identical seed derivation to `run_with`.
-            let cfg = MeasurementConfig::new(processor, interface)
-                .with_pattern(Pattern::StartRead)
-                .with_event(Event::DCacheMisses)
-                .with_mode(CountingMode::UserKernel)
-                .with_hz(0)
-                .with_seed(cache_seed(interface, rep));
-            let rec = run_measurement(&cfg, Benchmark::ArrayWalk { iters })?;
-            shard[idx / reps].push(rec.measured as f64 - expected as f64);
-            Ok(())
-        },
-        counterlab_stats::stream::merge_zip,
-    )?;
-
-    let rows = Interface::ALL
-        .iter()
-        .zip(accs)
-        .map(|(&interface, acc)| {
-            Ok(StreamingCacheRow {
-                interface,
-                summary: acc.finish().map_err(crate::CoreError::from)?,
-            })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(StreamingCacheFigure {
-        rows,
-        iters,
-        expected,
-    })
-}
-
-impl StreamingCacheFigure {
-    /// The row for an interface.
-    pub fn row(&self, interface: Interface) -> Option<&StreamingCacheRow> {
-        self.rows.iter().find(|r| r.interface == interface)
-    }
-
-    /// Renders the experiment from the streamed summaries.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "Extension: Accuracy of d-cache miss measurements (streaming)\n\
-             (array walk, {} iterations, {} true misses)\n\n",
-            self.iters, self.expected
-        );
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.interface.to_string(),
-                    format!("{:.0}", r.summary.median()),
-                    format!(
-                        "{:.3}%",
-                        100.0 * r.summary.median() / self.expected.max(1) as f64
-                    ),
-                ]
-            })
-            .collect();
-        out.push_str(&report::table(
-            &["tool", "median excess misses", "relative"],
-            &rows,
-        ));
-        out
-    }
 }
 
 impl CacheFigure {
@@ -343,20 +223,5 @@ mod tests {
         let text = fig.render();
         assert!(text.contains("d-cache"));
         assert!(text.contains("pm"));
-    }
-
-    #[test]
-    fn streaming_matches_batch_medians() {
-        let batch = run_with(Processor::AthlonK8, 160_000, 6, &RunOptions::default()).unwrap();
-        let stream =
-            run_streaming_with(Processor::AthlonK8, 160_000, 6, &RunOptions::default()).unwrap();
-        assert_eq!(stream.expected, batch.expected);
-        for b in &batch.rows {
-            let s = stream.row(b.interface).unwrap();
-            // Six reps stay inside the exact window: medians are equal.
-            assert_eq!(s.summary.median(), b.boxplot.median(), "{}", b.interface);
-            assert_eq!(s.summary.n(), b.boxplot.n());
-        }
-        assert!(stream.render().contains("streaming"));
     }
 }

@@ -12,17 +12,14 @@
 use counterlab_cpu::pmu::Event;
 use counterlab_cpu::uarch::Processor;
 use counterlab_stats::regression::LinearFit;
-use counterlab_stats::stream::Covariance;
 
 use crate::benchmark::Benchmark;
 use crate::config::{MeasurementConfig, OptLevel};
 use crate::exec::{self, RunOptions};
-use crate::experiment::{
-    Ablation, Capabilities, EngineMode, Experiment, ExperimentCtx, Report,
-};
+use crate::experiment::{Ablation, Capabilities, Experiment, ExperimentCtx, Report};
 use crate::exec::SESSION_REP_BLOCK;
 use crate::interface::{CountingMode, Interface};
-use crate::measure::{run_measurement, MeasurementSession};
+use crate::measure::MeasurementSession;
 use crate::pattern::Pattern;
 use crate::report;
 use crate::{CoreError, Result};
@@ -152,18 +149,8 @@ impl Experiment for Fig12Experiment {
         "Figure 12: one clean line per (pattern, -O) build on K8/pm"
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::STREAMING
-    }
-
     fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
-        let reps = ctx.scale.cycle_reps;
-        let fig = match self.engine(ctx) {
-            EngineMode::Streaming => {
-                run_fig12_streaming_with(&CYCLE_SIZES, reps, &ctx.opts)?
-            }
-            EngineMode::Batch => run_fig12_with(&CYCLE_SIZES, reps, &ctx.opts)?,
-        };
+        let fig = run_fig12_with(&CYCLE_SIZES, ctx.scale.cycle_reps, &ctx.opts)?;
         Ok(Report::text("fig12.txt", fig.render()))
     }
 }
@@ -403,66 +390,6 @@ pub fn run_fig12_with(sizes: &[u64], reps: usize, opts: &RunOptions<'_>) -> Resu
     Ok(Fig12 { panels })
 }
 
-/// [`run_fig12_with`] on the streaming engine: the same K8/`pm` sweep (same
-/// seeds, same simulated runs) folding each point into a per-build
-/// [`Covariance`] on the worker that measured it, instead of collecting a
-/// point vector. Produces the same [`Fig12`] type; slopes and R² agree
-/// with the batch path to float-summation rounding.
-///
-/// # Errors
-///
-/// Propagates measurement and regression failures.
-pub fn run_fig12_streaming_with(
-    sizes: &[u64],
-    reps: usize,
-    opts: &RunOptions<'_>,
-) -> Result<Fig12> {
-    let reps = reps.max(1);
-    let interface = Interface::Pm;
-    let processor = Processor::AthlonK8;
-    let builds: Vec<(Pattern, OptLevel)> = Pattern::ALL
-        .iter()
-        .filter(|&&pattern| interface.supports(pattern))
-        .flat_map(|&pattern| OptLevel::ALL.iter().map(move |&opt| (pattern, opt)))
-        .collect();
-    let per_build = sizes.len() * reps;
-    let fits = exec::run_indexed_fold(
-        builds.len() * per_build,
-        opts,
-        || vec![Covariance::new(); builds.len()],
-        |idx, shard| {
-            let (pattern, opt_level) = builds[idx / per_build];
-            let iters = sizes[(idx % per_build) / reps];
-            let rep = idx % reps;
-            // Identical seed derivation to `panel_with`.
-            let cfg = MeasurementConfig::new(processor, interface)
-                .with_pattern(pattern)
-                .with_opt_level(opt_level)
-                .with_mode(CountingMode::UserKernel)
-                .with_event(Event::CoreCycles)
-                .with_seed(0xCC_1E5 ^ iters.wrapping_mul(7) ^ ((rep as u64) << 24));
-            let rec = run_measurement(&cfg, Benchmark::Loop { iters })?;
-            shard[idx / per_build].push(iters as f64, rec.measured as f64);
-            Ok(())
-        },
-        counterlab_stats::stream::merge_zip,
-    )?;
-
-    let mut panels = Vec::new();
-    for (&(pattern, opt_level), fit) in builds.iter().zip(&fits) {
-        if fit.count() == 0 {
-            continue;
-        }
-        panels.push(Fig12Panel {
-            pattern,
-            opt_level,
-            slope: fit.slope().map_err(crate::CoreError::from)?,
-            r_squared: fit.r_squared().map_err(crate::CoreError::from)?,
-        });
-    }
-    Ok(Fig12 { panels })
-}
-
 impl Fig12 {
     /// The panel for (pattern, level).
     pub fn panel(&self, pattern: Pattern, opt: OptLevel) -> Option<&Fig12Panel> {
@@ -576,27 +503,6 @@ mod tests {
             }
         }
         assert!(pattern_with_spread, "some pattern must span slope classes");
-    }
-
-    #[test]
-    fn streaming_fig12_matches_batch() {
-        let batch = run_fig12_with(&SMALL_SIZES, 2, &RunOptions::default()).unwrap();
-        let stream =
-            run_fig12_streaming_with(&SMALL_SIZES, 2, &RunOptions::default()).unwrap();
-        assert_eq!(stream.panels.len(), batch.panels.len());
-        for b in &batch.panels {
-            let s = stream.panel(b.pattern, b.opt_level).unwrap();
-            assert!(
-                (s.slope - b.slope).abs() <= 1e-9 * b.slope.abs().max(1.0),
-                "{}/{}: {} vs {}",
-                b.pattern,
-                b.opt_level,
-                s.slope,
-                b.slope
-            );
-            assert!((s.r_squared - b.r_squared).abs() <= 1e-9);
-        }
-        assert_eq!(stream.slope_classes(), batch.slope_classes());
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //! conformance suite guarantees is pure infrastructure perturbation,
 //! never model slack.
 //!
-//! Both engines visit the same cells with the same per-run seeds and
-//! fold errors into the same accumulators in the same flat order, so
-//! the rendered table and the raw-record CSV are byte-identical across
-//! batch/streaming, any job count, and the served path (pinned by
-//! `tests/golden_csv.rs`).
+//! The sweep runs on measurement sessions; its fresh-boot oracle
+//! ([`run_streaming_with`]) visits the same cells with the same per-run
+//! seeds on the same engine, booting per run instead. The rendered table
+//! and the raw-record CSV are byte-identical across the two, any job
+//! count and `--stream` (pinned by `tests/golden_workload_csv.rs`).
 
 use counterlab_cpu::hash::seed_combine;
 use counterlab_cpu::pmu::Event;
@@ -24,9 +24,7 @@ use counterlab_stats::stream::SummaryAccumulator;
 use crate::benchmark::Benchmark;
 use crate::config::MeasurementConfig;
 use crate::exec::{self, RunOptions};
-use crate::experiment::{
-    Artifact, Capabilities, EngineMode, Experiment, ExperimentCtx, Report,
-};
+use crate::experiment::{Artifact, Experiment, ExperimentCtx, Report};
 use crate::interface::{CountingMode, Interface};
 use crate::measure::{run_measurement, MeasurementSession, Record};
 use crate::pattern::Pattern;
@@ -74,8 +72,8 @@ pub fn cells() -> Vec<(Benchmark, Event, Interface)> {
     out
 }
 
-/// The per-run seed — one definition shared by the batch and streaming
-/// engines and by the session boot.
+/// The per-run seed — one definition shared by the runs, the fresh-boot
+/// oracle and the session boot.
 fn wa_seed(cell: usize, rep: usize) -> u64 {
     seed_combine(seed_combine(0x20_AC00, cell as u64), rep as u64)
 }
@@ -110,9 +108,7 @@ pub struct WorkloadFigure {
     pub records: Vec<Record>,
 }
 
-/// Folds the flat record sequence into per-(workload, event) rows —
-/// the single aggregation path both engines share, so their outputs
-/// cannot diverge.
+/// Folds the flat record sequence into per-(workload, event) rows.
 fn aggregate(records: &[Record], reps: usize) -> Result<Vec<WorkloadRow>> {
     let cells = cells();
     let classes = Benchmark::zoo(WorkloadAccuracy::ITERS).len() * EVENTS.len();
@@ -133,13 +129,34 @@ fn aggregate(records: &[Record], reps: usize) -> Result<Vec<WorkloadRow>> {
     Ok(rows)
 }
 
-/// Runs the sweep on the batch engine: per-cell measurement sessions
-/// (boot once per cell block), records materialized in flat order.
+/// Runs the sweep: per-cell measurement sessions (one boot per stack per
+/// worker, re-targeted from block to block), records materialized in flat
+/// order.
 ///
 /// # Errors
 ///
 /// Propagates measurement and statistics failures.
 pub fn run_with(reps: usize, opts: &RunOptions<'_>) -> Result<WorkloadFigure> {
+    sweep(reps, opts, false)
+}
+
+/// The fresh-boot oracle of [`run_with`]: the same sweep (same cells, same
+/// per-run seeds, same engine) with one freshly booted stack per run
+/// instead of a session. The session ≡ fresh-boot bit-identity invariant
+/// makes the records equal: perfbench's `zoo_sweep` set-up and `repro
+/// bench` call it as the fresh-boot oracle. No CLI mode selects it; the
+/// name is kept for those callers.
+///
+/// # Errors
+///
+/// Propagates measurement and statistics failures.
+pub fn run_streaming_with(reps: usize, opts: &RunOptions<'_>) -> Result<WorkloadFigure> {
+    sweep(reps, opts, true)
+}
+
+/// The one sweep behind [`run_with`] and [`run_streaming_with`]: with
+/// `fresh` set a block boots nothing and every run boots its own stack.
+fn sweep(reps: usize, opts: &RunOptions<'_>, fresh: bool) -> Result<WorkloadFigure> {
     let reps = reps.max(2);
     let cells = cells();
     let records = exec::run_cell_chunked(
@@ -147,35 +164,20 @@ pub fn run_with(reps: usize, opts: &RunOptions<'_>) -> Result<WorkloadFigure> {
         reps,
         exec::SESSION_REP_BLOCK,
         opts,
-        |prev, cell, first_rep| {
+        |prev: Option<Option<MeasurementSession>>, cell, first_rep| {
+            if fresh {
+                return Ok(None);
+            }
             let cfg = cfg_for(&cells[cell], cell, first_rep);
-            MeasurementSession::reuse(prev, &cfg, cells[cell].0)
+            MeasurementSession::reuse(prev.flatten(), &cfg, cells[cell].0).map(Some)
         },
-        |session, idx| session.run(wa_seed(idx / reps, idx % reps)),
-    )?;
-    let rows = aggregate(&records, reps)?;
-    Ok(WorkloadFigure { rows, records })
-}
-
-/// [`run_with`] on the streaming engine: the same sweep (same seeds)
-/// with fresh-boot measurements handed back in flat index order — the
-/// session ≡ fresh-boot bit-identity invariant makes the records equal.
-///
-/// # Errors
-///
-/// Propagates measurement and statistics failures.
-pub fn run_streaming_with(reps: usize, opts: &RunOptions<'_>) -> Result<WorkloadFigure> {
-    let reps = reps.max(2);
-    let cells = cells();
-    let mut records = Vec::with_capacity(cells.len() * reps);
-    exec::run_indexed_each(
-        cells.len() * reps,
-        opts,
-        |idx| {
-            let cell = idx / reps;
-            run_measurement(&cfg_for(&cells[cell], cell, idx % reps), cells[cell].0)
+        |session, idx| {
+            let (cell, rep) = (idx / reps, idx % reps);
+            match session {
+                Some(session) => session.run(wa_seed(cell, rep)),
+                None => run_measurement(&cfg_for(&cells[cell], cell, rep), cells[cell].0),
+            }
         },
-        |_, rec| records.push(rec),
     )?;
     let rows = aggregate(&records, reps)?;
     Ok(WorkloadFigure { rows, records })
@@ -242,16 +244,9 @@ impl Experiment for WorkloadAccuracy {
         "extension: counter accuracy vs. workload class (zoo sweep, K8)"
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::STREAMING
-    }
-
     fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
         let reps = ctx.scale.grid_reps.max(Self::MIN_REPS);
-        let figure = match self.engine(ctx) {
-            EngineMode::Streaming => run_streaming_with(reps, &ctx.opts)?,
-            EngineMode::Batch => run_with(reps, &ctx.opts)?,
-        };
+        let figure = run_with(reps, &ctx.opts)?;
         let mut report = Report::text(TEXT_ARTIFACT, figure.render());
         report.push(figure.csv_artifact());
         Ok(report)
@@ -292,11 +287,11 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_batch_bit_for_bit() {
+    fn fresh_boot_oracle_matches_sessions_bit_for_bit() {
         let batch = run_with(2, &RunOptions::default()).unwrap();
-        let stream = run_streaming_with(2, &RunOptions::with_jobs(3)).unwrap();
-        assert_eq!(batch.records, stream.records);
-        assert_eq!(batch.render(), stream.render());
+        let fresh = run_streaming_with(2, &RunOptions::with_jobs(3)).unwrap();
+        assert_eq!(batch.records, fresh.records);
+        assert_eq!(batch.render(), fresh.render());
     }
 
     #[test]

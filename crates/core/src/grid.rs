@@ -277,6 +277,35 @@ impl Grid {
         MeasurementSession::reuse(prev, &MeasurementConfig { seed, ..*cell }, self.benchmark)
     }
 
+    /// [`Grid::session_for`] honoring [`Grid::fresh_boot`]: with it set
+    /// there is no session, and [`Grid::measure`] boots per run.
+    fn boot(
+        &self,
+        prev: Option<MeasurementSession>,
+        cell: &MeasurementConfig,
+        rep: usize,
+    ) -> Result<Option<MeasurementSession>> {
+        if self.fresh_boot {
+            return Ok(None);
+        }
+        self.session_for(prev, cell, rep).map(Some)
+    }
+
+    /// Runs repetition `rep` of `cell` on `session`, or on a fresh boot
+    /// when there is none.
+    fn measure(
+        &self,
+        session: Option<&mut MeasurementSession>,
+        cell: &MeasurementConfig,
+        rep: usize,
+    ) -> Result<Record> {
+        let seed = per_run_seed(self.base_seed, cell, rep);
+        match session {
+            Some(session) => session.run(seed),
+            None => run_measurement(&MeasurementConfig { seed, ..*cell }, self.benchmark),
+        }
+    }
+
     /// Runs **one** cell's repetitions, in repetition order, honoring
     /// [`Grid::fresh_boot`]. The records are exactly the slice of
     /// [`Grid::run_with`]'s output belonging to this cell — this is the
@@ -300,18 +329,9 @@ impl Grid {
         if self.reps == 0 {
             return Ok(records);
         }
-        if self.fresh_boot {
-            for rep in 0..self.reps {
-                let seed = per_run_seed(self.base_seed, cell, rep);
-                let cfg = MeasurementConfig { seed, ..*cell };
-                records.push(run_measurement(&cfg, self.benchmark)?);
-            }
-        } else {
-            let mut session = self.session_for(None, cell, 0)?;
-            for rep in 0..self.reps {
-                let seed = per_run_seed(self.base_seed, cell, rep);
-                records.push(session.run(seed)?);
-            }
+        let mut session = self.boot(None, cell, 0)?;
+        for rep in 0..self.reps {
+            records.push(self.measure(session.as_mut(), cell, rep)?);
         }
         Ok(records)
     }
@@ -323,8 +343,7 @@ impl Grid {
     /// Each cell is one work item — its repetitions run in rep order on
     /// one worker's session (re-targeted from cell to cell as in
     /// [`Grid::run_with`]) and fold into that cell's accumulator via
-    /// `step` — so the result is **bit-identical at any worker count**
-    /// (unlike worker-sharded folds, see [`exec::run_indexed_fold`]).
+    /// `step` — so the result is **bit-identical at any worker count**.
     /// Resident memory is `O(cells × |A|)` regardless of the repetition
     /// count.
     ///
@@ -441,9 +460,9 @@ impl Grid {
     /// Streams the grid's records straight into CSV lines, in the exact
     /// byte order of
     /// [`records_to_csv`](crate::report::records_to_csv)`(`[`Grid::run_with`]`)`,
-    /// holding only a bounded chunk of records in memory: `repro --stream
-    /// csv` stays byte-identical to the batch path at `O(1)` memory in the
-    /// record count.
+    /// holding only a bounded batch of cells' records in memory: `repro
+    /// csv` writes the whole grid at `O(1)` memory in the record count.
+    /// [`Grid::fresh_boot`] runs the same loop with one boot per run.
     ///
     /// The sink contract: `sink` is called once with
     /// [`CSV_HEADER`](crate::report::CSV_HEADER), then once per record in
@@ -471,30 +490,11 @@ impl Grid {
             crate::report::write_csv_line(&mut line, record);
             sink(&line);
         };
-        if self.fresh_boot {
-            exec::run_indexed_each(
-                total,
-                opts,
-                |i| {
-                    #[expect(clippy::indexing_slicing, reason = "engine dispenses i < len * reps")]
-                    let cell = &cells[i / self.reps];
-                    let rep = i % self.reps;
-                    let seed = per_run_seed(self.base_seed, cell, rep);
-                    let cfg = MeasurementConfig { seed, ..*cell };
-                    run_measurement(&cfg, self.benchmark)
-                },
-                |_, record| {
-                    written += 1;
-                    emit(&record);
-                },
-            )?;
-            return Ok(written);
-        }
-        // Session path: bounded batches of whole cells, each cell run on
-        // one worker's session, the sessions carried from batch to batch.
-        // Lines reach the sink in the exact flat order of the batch path,
-        // holding at most one batch of `CSV_CELL_BATCH × reps` records in
-        // memory.
+        // Bounded batches of whole cells, each cell run on one worker's
+        // session (none under `fresh_boot`), the sessions carried from
+        // batch to batch. Lines reach the sink in the exact flat order of
+        // the batch path, holding at most one batch of
+        // `CSV_CELL_BATCH × reps` records in memory.
         let mut sessions = Vec::new();
         let mut start = 0usize;
         while start < cells.len() {
@@ -509,12 +509,11 @@ impl Grid {
                     jobs: opts.effective_jobs(total),
                     progress: None,
                 },
-                |prev, c, first_rep| self.session_for(prev, &cells[start + c], first_rep),
+                |prev, c, first_rep| self.boot(prev.flatten(), &cells[start + c], first_rep),
                 |session, i| {
                     #[expect(clippy::indexing_slicing, reason = "i ranges over the clamped batch")]
                     let cell = &cells[start + i / self.reps];
-                    let seed = per_run_seed(self.base_seed, cell, i % self.reps);
-                    session.run(seed)
+                    self.measure(session.as_mut(), cell, i % self.reps)
                 },
             )?;
             for record in &records {
@@ -543,7 +542,7 @@ pub struct CellSummary {
     pub accumulator: SummaryAccumulator,
 }
 
-/// Cells per batch of the streaming session CSV path: memory stays
+/// Cells per batch of [`Grid::run_csv`]: memory stays
 /// bounded at `CSV_CELL_BATCH × reps` records while each batch still
 /// feeds every worker.
 const CSV_CELL_BATCH: usize = 256;

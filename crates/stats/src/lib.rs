@@ -64,9 +64,7 @@ pub mod prelude {
     pub use crate::kde::Kde;
     pub use crate::quantile::{median, quantile};
     pub use crate::regression::LinearFit;
-    pub use crate::stream::{
-        Covariance, P2Quantile, StreamingHistogram, SummaryAccumulator, Welford,
-    };
+    pub use crate::stream::{P2Quantile, StreamingHistogram, SummaryAccumulator, Welford};
     pub use crate::violin::Violin;
     pub use crate::StatsError;
 }

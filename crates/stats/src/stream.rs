@@ -8,8 +8,7 @@
 //!
 //! * `push(f64)` — fold one observation in, O(1) amortized;
 //! * `merge(Self)` — combine two accumulators built over disjoint shards
-//!   of one sample (the parallel execution engine merges worker shards
-//!   lowest-worker-first);
+//!   of one sample (drivers pool per-cell accumulators in cell order);
 //! * `finish()` — produce the summary, with the **same error contract as
 //!   the batch routine it mirrors** (see each type's docs).
 //!
@@ -19,8 +18,7 @@
 //! | [`P2Quantile`] | [`crate::quantile::quantile`] | exact up to its window, then P² (see caveat) |
 //! | [`SummaryAccumulator`] | [`crate::descriptive::Summary::from_slice`] | exact up to its window, then P² quartiles |
 //! | [`StreamingHistogram`] | [`crate::histogram::Histogram::from_slice`] | exact up to its window, then rebinned |
-//! | [`Covariance`] | [`crate::regression::LinearFit::fit`] | slope/intercept/R² to ~1 ulp per merge |
-//!
+//! //!
 //! # The P² accuracy caveat
 //!
 //! Exact streaming quantiles are impossible in constant memory, so
@@ -63,25 +61,6 @@ use crate::descriptive::Summary;
 use crate::histogram::Histogram;
 use crate::quantile::{quantile_sorted, QuantileMethod};
 use crate::{Result, StatsError};
-
-/// An accumulator that can absorb another built over a disjoint shard of
-/// the same sample — the operation the execution engine applies to worker
-/// shards (lowest-worker-first).
-pub trait Merge {
-    /// Absorbs `other` into `self`.
-    fn merge(&mut self, other: Self);
-}
-
-/// Merges two equal-length shard vectors element-by-element: the standard
-/// reduction for "one accumulator per group, one vector per worker"
-/// folds. Trailing elements of the longer side (there should be none when
-/// both vectors came from the same `new_shard`) are dropped.
-pub fn merge_zip<A: Merge>(mut a: Vec<A>, b: Vec<A>) -> Vec<A> {
-    for (x, y) in a.iter_mut().zip(b) {
-        x.merge(y);
-    }
-    a
-}
 
 /// Default exact-window size of a standalone [`P2Quantile`].
 pub const P2_DEFAULT_EXACT_WINDOW: usize = 64;
@@ -276,12 +255,6 @@ impl Welford {
             min: self.min,
             max: self.max,
         })
-    }
-}
-
-impl Merge for Welford {
-    fn merge(&mut self, other: Self) {
-        Welford::merge(self, other);
     }
 }
 
@@ -787,12 +760,6 @@ impl SummaryAccumulator {
     }
 }
 
-impl Merge for SummaryAccumulator {
-    fn merge(&mut self, other: Self) {
-        SummaryAccumulator::merge(self, other);
-    }
-}
-
 /// How a [`StreamingHistogram`] currently stores observations.
 #[derive(Debug, Clone, PartialEq)]
 enum HistState {
@@ -994,148 +961,6 @@ impl StreamingHistogram {
                 self.above,
             )),
         }
-    }
-}
-
-impl Merge for StreamingHistogram {
-    fn merge(&mut self, other: Self) {
-        StreamingHistogram::merge(self, other);
-    }
-}
-
-/// Streaming simple linear regression: the bivariate analogue of
-/// [`Welford`], accumulating co-moments so that
-/// [`Covariance::slope`] / [`Covariance::intercept`] /
-/// [`Covariance::r_squared`] reproduce [`crate::regression::LinearFit`]
-/// with the **same error contract**, one `(x, y)` pair at a time.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Covariance {
-    n: u64,
-    mean_x: f64,
-    mean_y: f64,
-    m2x: f64,
-    m2y: f64,
-    cxy: f64,
-    nonfinite: bool,
-}
-
-impl Covariance {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one `(x, y)` observation in. A non-finite coordinate poisons
-    /// the accumulator (matching [`crate::regression::LinearFit::fit`]'s
-    /// whole-sample rejection).
-    pub fn push(&mut self, x: f64, y: f64) {
-        if !(x.is_finite() && y.is_finite()) {
-            self.nonfinite = true;
-            return;
-        }
-        self.n += 1;
-        let nf = self.n as f64;
-        let dx = x - self.mean_x;
-        let dy = y - self.mean_y;
-        self.mean_x += dx / nf;
-        self.mean_y += dy / nf;
-        // Co-moment update uses the *new* x mean (Welford's pattern).
-        self.cxy += dx * (y - self.mean_y);
-        self.m2x += dx * (x - self.mean_x);
-        self.m2y += dy * (y - self.mean_y);
-    }
-
-    /// Merges another accumulator built over a disjoint shard (Chan's
-    /// update, extended to the co-moment).
-    pub fn merge(&mut self, other: Self) {
-        self.nonfinite |= other.nonfinite;
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = Covariance {
-                nonfinite: self.nonfinite,
-                ..other
-            };
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let w = self.n as f64 * other.n as f64 / n;
-        let dx = other.mean_x - self.mean_x;
-        let dy = other.mean_y - self.mean_y;
-        self.m2x += other.m2x + dx * dx * w;
-        self.m2y += other.m2y + dy * dy * w;
-        self.cxy += other.cxy + dx * dy * w;
-        self.mean_x += dx * other.n as f64 / n;
-        self.mean_y += dy * other.n as f64 / n;
-        self.n += other.n;
-    }
-
-    /// Number of finite pairs folded in.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    fn check(&self) -> Result<()> {
-        if self.nonfinite {
-            return Err(StatsError::NonFinite);
-        }
-        if self.n == 0 {
-            return Err(StatsError::EmptyInput);
-        }
-        if self.n < 2 {
-            return Err(StatsError::InvalidParameter(
-                "regression requires at least two points",
-            ));
-        }
-        if self.m2x == 0.0 {
-            return Err(StatsError::Degenerate("all x values are identical"));
-        }
-        Ok(())
-    }
-
-    /// OLS slope of `y` on `x`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::regression::LinearFit::fit`]:
-    /// [`StatsError::EmptyInput`], [`StatsError::NonFinite`],
-    /// [`StatsError::InvalidParameter`] (fewer than two points),
-    /// [`StatsError::Degenerate`] (zero x-variance).
-    pub fn slope(&self) -> Result<f64> {
-        self.check()?;
-        Ok(self.cxy / self.m2x)
-    }
-
-    /// OLS intercept.
-    ///
-    /// # Errors
-    ///
-    /// As [`Covariance::slope`].
-    pub fn intercept(&self) -> Result<f64> {
-        let slope = self.slope()?;
-        Ok(self.mean_y - slope * self.mean_x)
-    }
-
-    /// Coefficient of determination R².
-    ///
-    /// # Errors
-    ///
-    /// As [`Covariance::slope`].
-    pub fn r_squared(&self) -> Result<f64> {
-        self.check()?;
-        if self.m2y == 0.0 {
-            return Ok(1.0);
-        }
-        let slope = self.cxy / self.m2x;
-        let ss_res = (self.m2y - slope * self.cxy).max(0.0);
-        Ok(1.0 - ss_res / self.m2y)
-    }
-}
-
-impl Merge for Covariance {
-    fn merge(&mut self, other: Self) {
-        Covariance::merge(self, other);
     }
 }
 
@@ -1446,55 +1271,5 @@ mod tests {
         a.merge(b);
         assert_eq!(a.count(), 600);
         assert_eq!(a.finish().unwrap().total(), 600);
-    }
-
-    #[test]
-    fn covariance_matches_linear_fit() {
-        let xs: Vec<f64> = (0..500).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x - 7.0 + (x % 13.0)).collect();
-        let fit = crate::regression::LinearFit::fit(&xs, &ys).unwrap();
-        let mut c = Covariance::new();
-        for (&x, &y) in xs.iter().zip(&ys) {
-            c.push(x, y);
-        }
-        assert!((c.slope().unwrap() - fit.slope()).abs() <= 1e-9 * fit.slope().abs());
-        assert!((c.intercept().unwrap() - fit.intercept()).abs() <= 1e-6);
-        assert!((c.r_squared().unwrap() - fit.r_squared()).abs() <= 1e-9);
-    }
-
-    #[test]
-    fn covariance_error_contract_mirrors_linear_fit() {
-        let c = Covariance::new();
-        assert_eq!(c.slope(), Err(StatsError::EmptyInput));
-        let mut c = Covariance::new();
-        c.push(1.0, 2.0);
-        assert!(matches!(c.slope(), Err(StatsError::InvalidParameter(_))));
-        c.push(1.0, 3.0);
-        assert!(matches!(c.slope(), Err(StatsError::Degenerate(_))));
-        let mut c = Covariance::new();
-        c.push(1.0, f64::NAN);
-        c.push(2.0, 3.0);
-        assert_eq!(c.slope(), Err(StatsError::NonFinite));
-    }
-
-    #[test]
-    fn covariance_merge_matches_single_stream() {
-        let xs: Vec<f64> = (0..401).map(|i| (i % 97) as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 0.5 * x + ((x * 31.0) % 11.0)).collect();
-        let mut whole = Covariance::new();
-        for (&x, &y) in xs.iter().zip(&ys) {
-            whole.push(x, y);
-        }
-        let mut parts = [Covariance::new(), Covariance::new(), Covariance::new()];
-        for (i, (&x, &y)) in xs.iter().zip(&ys).enumerate() {
-            parts[i % 3].push(x, y);
-        }
-        let mut merged = parts[0];
-        merged.merge(parts[1]);
-        merged.merge(parts[2]);
-        let (sa, sb) = (merged.slope().unwrap(), whole.slope().unwrap());
-        assert!((sa - sb).abs() <= 1e-9 * sb.abs().max(1.0));
-        let (ra, rb) = (merged.r_squared().unwrap(), whole.r_squared().unwrap());
-        assert!((ra - rb).abs() <= 1e-9);
     }
 }

@@ -1,7 +1,7 @@
 //! Error-path coverage for the execution engine's contract: the
 //! [`CoreError::CounterWentBackwards`] failure introduced at the measure
 //! layer must propagate unchanged through [`Grid::run_with`] *and* the
-//! streaming fold paths, and at any worker count the error that surfaces
+//! per-cell fold path, and at any worker count the error that surfaces
 //! is the one with the **lowest index** (cell-enumeration × repetition
 //! order for the record engine, cell order for the fold engine) — never
 //! whichever worker happened to fail first on the wall clock.
@@ -180,22 +180,23 @@ fn fold_aborts_cell_on_first_failing_rep() {
 
 #[test]
 fn exec_fold_reports_lowest_index_backwards_error() {
-    // Pure-engine form of the same guarantee: scattered
-    // CounterWentBackwards failures at indices 31, 32 and 97 — index 31
-    // wins at every worker count.
+    // Pure-engine form of the same guarantee on the one cell engine, with
+    // ragged blocks (10 reps in blocks of 3): scattered
+    // CounterWentBackwards failures at flat indices 31, 32 and 97 — index
+    // 31 wins at every worker count.
     for jobs in [1, 2, 4, 8] {
-        let err = exec::run_indexed_fold(
-            200,
+        let err = exec::run_cell_chunked(
+            20,
+            10,
+            3,
             &RunOptions::with_jobs(jobs),
-            || 0u64,
-            |i, acc| {
+            |_, _, _| Ok(()),
+            |(), i| {
                 if i == 31 || i == 32 || i == 97 {
                     return Err(backwards_at(i));
                 }
-                *acc += 1;
-                Ok(())
+                Ok(i)
             },
-            |a, b| a + b,
         )
         .unwrap_err();
         match err {

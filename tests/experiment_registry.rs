@@ -7,7 +7,8 @@
 
 use counterlab::exec::RunOptions;
 use counterlab::experiment::{
-    ablation_owner, registry, ArtifactKind, EngineMode, ExperimentCtx, MemorySink, Scale,
+    ablation_owner, registry, ArtifactKind, EngineMode, Experiment, ExperimentCtx, MemorySink,
+    Scale,
 };
 
 /// The documented command list, in `repro all` emission order. A new
@@ -35,10 +36,21 @@ const DOCUMENTED_IDS: [&str; 19] = [
     "csv",
 ];
 
-fn smoke_ctx(mode: EngineMode) -> ExperimentCtx<'static> {
+fn smoke_ctx(mode: EngineMode, jobs: usize) -> ExperimentCtx<'static> {
     ExperimentCtx::new(Scale::quick())
-        .with_opts(RunOptions::with_jobs(2))
+        .with_opts(RunOptions::with_jobs(jobs))
         .with_mode(mode)
+}
+
+/// Runs `exp` under `ctx` and collects its artifacts.
+fn run_into_sink(exp: &dyn Experiment, ctx: &ExperimentCtx<'_>) -> MemorySink {
+    let id = exp.id();
+    let mut sink = MemorySink::new();
+    exp.run(ctx)
+        .unwrap_or_else(|e| panic!("{id} failed {:?} smoke run: {e}", ctx.mode))
+        .emit(&mut sink)
+        .unwrap_or_else(|e| panic!("{id} failed to emit {:?}: {e}", ctx.mode));
+    sink
 }
 
 #[test]
@@ -81,20 +93,16 @@ fn ablation_flags_have_unique_owners() {
 /// Every experiment runs at smoke scale through a [`MemorySink`] in both
 /// engine modes it claims to support; artifact names are unique across
 /// the whole registry and stable across runs; streaming-incapable
-/// experiments ignore a streaming request bit-for-bit.
+/// experiments ignore a streaming request bit-for-bit; and in either mode
+/// every artifact is byte-identical at one and at four workers.
 #[test]
 fn every_experiment_runs_at_smoke_scale_in_claimed_modes() {
     let mut seen_names: Vec<&'static str> = Vec::new();
-    for exp in registry() {
+    for &exp in registry() {
         let id = exp.id();
 
-        let mut batch = MemorySink::new();
-        let emitted = exp
-            .run(&smoke_ctx(EngineMode::Batch))
-            .unwrap_or_else(|e| panic!("{id} failed batch smoke run: {e}"))
-            .emit(&mut batch)
-            .unwrap_or_else(|e| panic!("{id} failed to emit: {e}"));
-        assert!(!emitted.is_empty(), "{id}: empty report");
+        let batch = run_into_sink(exp, &smoke_ctx(EngineMode::Batch, 1));
+        assert!(!batch.artifacts.is_empty(), "{id}: empty report");
         for artifact in &batch.artifacts {
             assert!(
                 !seen_names.contains(&artifact.name),
@@ -112,11 +120,7 @@ fn every_experiment_runs_at_smoke_scale_in_claimed_modes() {
         }
 
         // A second batch run is byte-identical (fixed seeds).
-        let mut again = MemorySink::new();
-        exp.run(&smoke_ctx(EngineMode::Batch))
-            .unwrap()
-            .emit(&mut again)
-            .unwrap();
+        let again = run_into_sink(exp, &smoke_ctx(EngineMode::Batch, 1));
         assert_eq!(
             again.artifacts, batch.artifacts,
             "{id}: batch run not deterministic"
@@ -125,11 +129,7 @@ fn every_experiment_runs_at_smoke_scale_in_claimed_modes() {
         // The streaming ctx: a real streaming run when claimed, a
         // byte-identical batch run when not (the mode must be ignored,
         // not half-applied).
-        let mut stream = MemorySink::new();
-        exp.run(&smoke_ctx(EngineMode::Streaming))
-            .unwrap_or_else(|e| panic!("{id} failed streaming smoke run: {e}"))
-            .emit(&mut stream)
-            .unwrap_or_else(|e| panic!("{id} failed to emit streaming: {e}"));
+        let stream = run_into_sink(exp, &smoke_ctx(EngineMode::Streaming, 1));
         let names = |sink: &MemorySink| -> Vec<&'static str> {
             sink.artifacts.iter().map(|a| a.name).collect()
         };
@@ -138,6 +138,19 @@ fn every_experiment_runs_at_smoke_scale_in_claimed_modes() {
             assert_eq!(
                 stream.artifacts, batch.artifacts,
                 "{id}: claims batch-only but a streaming request changed its output"
+            );
+        }
+
+        // Every fold is per cell, so no artifact depends on the worker
+        // count, in either mode.
+        for (mode, one) in [
+            (EngineMode::Batch, &batch),
+            (EngineMode::Streaming, &stream),
+        ] {
+            let four = run_into_sink(exp, &smoke_ctx(mode, 4));
+            assert_eq!(
+                four.artifacts, one.artifacts,
+                "{id}: {mode:?} output differs between --jobs 1 and --jobs 4"
             );
         }
     }
@@ -151,12 +164,12 @@ fn declared_ablations_change_output() {
     for exp in registry() {
         for a in exp.capabilities().ablations {
             let mut plain = MemorySink::new();
-            exp.run(&smoke_ctx(EngineMode::Batch))
+            exp.run(&smoke_ctx(EngineMode::Batch, 2))
                 .unwrap()
                 .emit(&mut plain)
                 .unwrap();
             let mut ablated = MemorySink::new();
-            exp.run(&smoke_ctx(EngineMode::Batch).with_ablation(a.flag))
+            exp.run(&smoke_ctx(EngineMode::Batch, 2).with_ablation(a.flag))
                 .unwrap()
                 .emit(&mut ablated)
                 .unwrap();

@@ -15,7 +15,7 @@
 
 use counterlab::benchmark::Benchmark;
 use counterlab::exec::RunOptions;
-use counterlab::experiment::{EngineMode, MemorySink, Sink};
+use counterlab::experiment::{MemorySink, Sink};
 use counterlab::experiments::csv;
 use counterlab::grid::Grid;
 use counterlab::interface::{CountingMode, Interface};
@@ -55,6 +55,17 @@ fn golden_csv_is_stable_across_jobs_and_stream() {
     assert_eq!(jobs1, jobs4, "--jobs 4 diverged from --jobs 1");
     assert_eq!(jobs1, streamed, "--stream diverged from --jobs 1");
 
+    // The fresh-boot oracle through the same CSV writer.
+    let mut oracle = golden_grid();
+    oracle.fresh_boot = true;
+    for jobs in [1, 4] {
+        let mut fresh = String::new();
+        oracle
+            .run_csv(&RunOptions::with_jobs(jobs), |line| fresh.push_str(line))
+            .unwrap();
+        assert_eq!(jobs1, fresh, "fresh-boot CSV at --jobs {jobs} diverged");
+    }
+
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         std::fs::write(GOLDEN_PATH, &jobs1).expect("write golden file");
         eprintln!("regenerated {GOLDEN_PATH}; review the diff");
@@ -69,24 +80,22 @@ fn golden_csv_is_stable_across_jobs_and_stream() {
 
 /// The same pin through the experiment API: the CSV artifact produced by
 /// [`csv::csv_artifact`] and consumed by a [`Sink`] is byte-identical to
-/// the seed golden in both engine modes — so the registry path cannot
+/// the seed golden at any worker count — so the registry path cannot
 /// silently diverge from the direct grid path it replaced.
 #[test]
 fn golden_csv_is_stable_through_artifact_sinks() {
-    for mode in [EngineMode::Batch, EngineMode::Streaming] {
-        for jobs in [1usize, 4] {
-            let mut sink = MemorySink::new();
-            let rows = sink
-                .consume(csv::csv_artifact(golden_grid(), mode, jobs, false))
-                .unwrap()
-                .expect("row artifact reports its record count");
-            let stored = sink.get(csv::ARTIFACT).unwrap();
-            assert_eq!(
-                stored.content, GOLDEN,
-                "{mode:?}/jobs={jobs} diverged from {GOLDEN_PATH}"
-            );
-            assert_eq!(rows as usize, golden_grid().run_count(), "{mode:?}/jobs={jobs}");
-        }
+    for jobs in [1usize, 4] {
+        let mut sink = MemorySink::new();
+        let rows = sink
+            .consume(csv::csv_artifact(golden_grid(), jobs, false))
+            .unwrap()
+            .expect("row artifact reports its record count");
+        let stored = sink.get(csv::ARTIFACT).unwrap();
+        assert_eq!(
+            stored.content, GOLDEN,
+            "jobs={jobs} diverged from {GOLDEN_PATH}"
+        );
+        assert_eq!(rows as usize, golden_grid().run_count(), "jobs={jobs}");
     }
 }
 

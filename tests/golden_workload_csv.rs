@@ -1,8 +1,8 @@
 //! Golden-file regression for the `workload-accuracy` experiment: the
 //! raw-record CSV behind the workload-class figure is pinned
-//! byte-for-byte under `tests/golden/`, across both engine modes and
-//! worker counts — the acceptance bar for the zoo sweep is bit-identity,
-//! not statistical agreement.
+//! byte-for-byte under `tests/golden/`, with and without `--stream`, at
+//! one and four workers, and for the fresh-boot oracle — the acceptance
+//! bar for the zoo sweep is bit-identity, not statistical agreement.
 //!
 //! Regenerate deliberately (after an *intentional* format/semantics
 //! change) with:
@@ -14,7 +14,7 @@
 //! and review the diff like any other source change.
 
 use counterlab::exec::RunOptions;
-use counterlab::experiment::{EngineMode, ExperimentCtx, MemorySink, Scale};
+use counterlab::experiment::{EngineMode, ExperimentCtx, MemorySink, Scale, Sink};
 use counterlab::experiments::workload::{self, WorkloadAccuracy};
 use counterlab::prelude::*;
 use counterlab::report;
@@ -58,6 +58,23 @@ fn golden_workload_csv_pinned_across_engines_and_jobs() {
         csv_at(EngineMode::Streaming, 4),
         "--stream --jobs 4 diverged from batch --jobs 1"
     );
+
+    // The fresh-boot oracle (one boot per run, no session), which no CLI
+    // mode selects, serialized through the same artifact.
+    for jobs in [1, 4] {
+        let figure =
+            workload::run_streaming_with(WorkloadAccuracy::MIN_REPS, &RunOptions::with_jobs(jobs))
+                .expect("fresh-boot oracle runs");
+        let mut sink = MemorySink::new();
+        sink.consume(figure.csv_artifact()).expect("emits");
+        assert_eq!(
+            sink.get(workload::CSV_ARTIFACT)
+                .expect("csv artifact present")
+                .content,
+            baseline,
+            "fresh-boot oracle at --jobs {jobs} diverged from batch"
+        );
+    }
 
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         std::fs::write(GOLDEN_PATH, &baseline).expect("write golden file");

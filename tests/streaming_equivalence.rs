@@ -16,7 +16,7 @@
 
 use counterlab::stats::descriptive::{self, Summary};
 use counterlab::stats::quantile::{quantile_sorted, QuantileMethod};
-use counterlab::stats::stream::{Covariance, P2Quantile, SummaryAccumulator, Welford};
+use counterlab::stats::stream::{P2Quantile, SummaryAccumulator, Welford};
 use counterlab::stats::StatsError;
 use proptest::prelude::*;
 
@@ -165,24 +165,6 @@ proptest! {
         );
     }
 
-    /// Covariance vs `LinearFit`: slope and R² to 1e-9 relative for any
-    /// non-degenerate sample.
-    #[test]
-    fn covariance_matches_linear_fit(
-        ys in prop::collection::vec(-1e4f64..1e4, 2..200),
-        slope in -100.0f64..100.0,
-    ) {
-        let xs: Vec<f64> = (0..ys.len()).map(|i| i as f64).collect();
-        let line: Vec<f64> = xs.iter().zip(&ys).map(|(&x, &y)| slope * x + 0.01 * y).collect();
-        let fit = counterlab::stats::regression::LinearFit::fit(&xs, &line).unwrap();
-        let mut c = Covariance::new();
-        for (&x, &y) in xs.iter().zip(&line) {
-            c.push(x, y);
-        }
-        prop_assert!(close(c.slope().unwrap(), fit.slope(), 1e-9));
-        prop_assert!(close(c.intercept().unwrap(), fit.intercept(), 1e-6));
-        prop_assert!(close(c.r_squared().unwrap(), fit.r_squared(), 1e-9));
-    }
 }
 
 /// The shared empty-sample contract, spelled out once outside proptest:
