@@ -26,7 +26,7 @@ use counterlab_stats::descriptive::Summary;
 
 /// Batch reference: materialize every record, then summarize each cell
 /// with the sort-based batch API.
-fn batch_cell_summaries(grid: &Grid, opts: &RunOptions<'_>) -> Vec<Summary> {
+fn batch_cell_summaries(grid: &Grid, opts: &RunOptions) -> Vec<Summary> {
     let records = grid.run_with(opts).expect("grid");
     records
         .chunks(grid.reps)
@@ -38,7 +38,7 @@ fn batch_cell_summaries(grid: &Grid, opts: &RunOptions<'_>) -> Vec<Summary> {
 }
 
 /// Streaming: one `SummaryAccumulator` per cell, no record vector.
-fn stream_cell_summaries(grid: &Grid, opts: &RunOptions<'_>) -> Vec<Summary> {
+fn stream_cell_summaries(grid: &Grid, opts: &RunOptions) -> Vec<Summary> {
     grid.run_summaries(opts)
         .expect("grid")
         .into_iter()

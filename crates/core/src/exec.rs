@@ -10,17 +10,18 @@
 //! [`run_indexed_with`] is that engine's one worker loop: a
 //! dependency-free thread pool built on [`std::thread::scope`] and an
 //! atomic work index over `0..total`, where each worker owns one state
-//! for the whole call. Every sweep runs on it through
-//! [`run_cell_chunked`]: blocks of a cell's repetitions run against a
-//! per-block state built from the worker's previous one — a measurement
-//! session re-targeted instead of booted, so a worker boots each
-//! simulated stack once, not once per cell — and the results come back in
-//! flat `cell × repetition` order at any worker count. [`run_indexed`] is
-//! its one-repetition, stateless special case.
+//! for the whole call. [`run_cell_chunked`] runs blocks of a cell's
+//! repetitions on it against a per-block state built from the worker's
+//! previous one, and returns the results in flat `cell × repetition`
+//! order at any worker count. [`run_indexed`] is its one-repetition,
+//! stateless special case.
 //!
-//! A driver that folds instead of collecting makes the whole cell one work
-//! item and folds inside it, so every fold is per cell and bit-identical
-//! at any `jobs` value; nothing is ever sharded by worker.
+//! Measurement sweeps do not call the cell engine themselves: they hand a
+//! [`Plan`](crate::sweep::Plan) to the one sweep runner,
+//! [`crate::sweep`], which makes each block's state a measurement session
+//! re-targeted instead of booted, so a worker boots each simulated stack
+//! once, not once per cell. A clippy `disallowed-methods` rule keeps it
+//! that way.
 //!
 //! Everywhere, the first failure (by index, not by wall clock) is
 //! propagated after in-flight work drains. At most one state lives per
@@ -38,73 +39,29 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::{CoreError, Result};
 
-/// A progress observer: called after each completed work item with
-/// `(completed, total)`. Invoked concurrently from worker threads, hence
-/// the `Sync` bound; completion order is scheduling-dependent even though
-/// the returned results are not.
-///
-/// The contract the daemon's progress streaming relies on (pinned by unit
-/// tests in this module):
-///
-/// * the callback fires **exactly once per completed item** — never for a
-///   skipped item, never twice (`run_cell_chunked` counts items through
-///   one shared counter and suppresses the inner engine's reporting, so
-///   blocks cannot double-report even when `reps % block != 0`);
-/// * `done` values over a successful run are exactly the set
-///   `1..=total`, each seen once;
-/// * with one worker the calls are the exact ascending sequence
-///   `(1, total), (2, total), …, (total, total)`;
-/// * with multiple workers the *invocation order* may interleave —
-///   two workers can fetch ticks `n` and `n+1` and call back in either
-///   order — so consumers must treat `done` as a high-water mark, not
-///   assume monotone call order;
-/// * `total == 0` (or an empty cell/rep dimension) never invokes the
-///   callback at all.
-pub type ProgressFn<'a> = &'a (dyn Fn(usize, usize) + Sync);
-
 /// Options controlling how a sweep executes.
 ///
-/// The default runs with one worker per available CPU and no progress
-/// reporting; [`RunOptions::sequential`] reproduces the historical
-/// single-threaded path exactly.
-#[derive(Default, Clone, Copy)]
-pub struct RunOptions<'a> {
+/// The default runs with one worker per available CPU;
+/// [`RunOptions::sequential`] reproduces the historical single-threaded
+/// path exactly.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct RunOptions {
     /// Worker-thread count. `0` (the default) means one worker per
     /// available CPU ([`std::thread::available_parallelism`]); `1` runs
     /// inline on the calling thread without spawning.
     pub jobs: usize,
-    /// Optional progress callback.
-    pub progress: Option<ProgressFn<'a>>,
 }
 
-impl std::fmt::Debug for RunOptions<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunOptions")
-            .field("jobs", &self.jobs)
-            .field("progress", &self.progress.map(|_| "Fn"))
-            .finish()
-    }
-}
-
-impl<'a> RunOptions<'a> {
+impl RunOptions {
     /// Options with an explicit worker count (`0` = auto).
     pub fn with_jobs(jobs: usize) -> Self {
-        RunOptions {
-            jobs,
-            progress: None,
-        }
+        RunOptions { jobs }
     }
 
     /// The single-threaded path: no worker threads are spawned and work
     /// items run inline in index order on the calling thread.
     pub fn sequential() -> Self {
         Self::with_jobs(1)
-    }
-
-    /// Attaches a progress callback.
-    pub fn with_progress(mut self, progress: ProgressFn<'a>) -> Self {
-        self.progress = Some(progress);
-        self
     }
 
     /// The worker count this run will actually use for `total` items:
@@ -165,9 +122,9 @@ impl<'a> RunOptions<'a> {
 /// # Errors
 ///
 /// The lowest-index error produced by `work`.
-pub fn run_indexed_with<'a, S, N, F>(
+pub fn run_indexed_with<S, N, F>(
     total: usize,
-    opts: &RunOptions<'a>,
+    opts: &RunOptions,
     mut init: N,
     work: F,
 ) -> Result<Vec<S>>
@@ -181,15 +138,11 @@ where
         let mut state = init(1);
         for i in 0..total {
             work(&mut state, i)?;
-            if let Some(progress) = opts.progress {
-                progress(i + 1, total);
-            }
         }
         return Ok(vec![state]);
     }
 
     let next = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     let first_error: Mutex<Option<(usize, CoreError)>> = Mutex::new(None);
 
@@ -207,28 +160,18 @@ where
             if i >= total {
                 break;
             }
-            match work(&mut state, i) {
-                Ok(()) => {
-                    // Relaxed: a monotone progress counter consumed as a
-                    // high-water mark; no data is published under it.
-                    let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                    if let Some(progress) = opts.progress {
-                        progress(done, total);
-                    }
+            if let Err(e) = work(&mut state, i) {
+                // Recover a poisoned lock: the slot only ever holds a
+                // complete `Some((index, error))`, so whatever a panicking
+                // peer left behind is still meaningful.
+                let mut guard = first_error
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                if guard.as_ref().is_none_or(|(at, _)| i < *at) {
+                    *guard = Some((i, e));
                 }
-                Err(e) => {
-                    // Recover a poisoned lock: the slot only ever holds
-                    // a complete `Some((index, error))`, so whatever a
-                    // panicking peer left behind is still meaningful.
-                    let mut guard = first_error
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    if guard.as_ref().is_none_or(|(at, _)| i < *at) {
-                        *guard = Some((i, e));
-                    }
-                    drop(guard);
-                    stop.store(true, Ordering::Release);
-                }
+                drop(guard);
+                stop.store(true, Ordering::Release);
             }
         }
         state
@@ -265,7 +208,8 @@ where
 /// # Errors
 ///
 /// The lowest-index error produced by `work`.
-pub fn run_indexed<'a, T, F>(total: usize, opts: &RunOptions<'a>, work: F) -> Result<Vec<T>>
+#[expect(clippy::disallowed_methods, reason = "the cell engine's stateless special case")]
+pub fn run_indexed<T, F>(total: usize, opts: &RunOptions, work: F) -> Result<Vec<T>>
 where
     T: Send,
     F: Fn(usize) -> Result<T> + Sync,
@@ -282,7 +226,8 @@ where
 /// `0..cells × reps` — at any worker count.
 ///
 /// `prev` is the state the same worker built for its previous block, or
-/// `None` for its first: a measurement session re-targets it through
+/// `None` for its first: the sweep runner ([`crate::sweep`]) re-targets a
+/// measurement session through
 /// [`crate::measure::MeasurementSession::reuse`] instead of booting a new
 /// stack. At most one state lives per worker, and none outlives the call.
 ///
@@ -291,14 +236,6 @@ where
 /// parallelism while a whole block still shares one state. Block
 /// boundaries never cross a cell.
 ///
-/// Default repetition-block size for [`run_cell_chunked`] callers whose
-/// sweeps have few cells: one state (a booted measurement session)
-/// serves up to this many repetitions before the next block — and its
-/// worker — takes over, balancing state amortization against
-/// parallelism. Grid-scale sweeps (thousands of cells) use
-/// `block = reps` instead.
-pub const SESSION_REP_BLOCK: usize = 32;
-
 /// `state(prev, cell, first_rep)` builds the block's state, where
 /// `first_rep` is the first repetition the block will run (so a session
 /// can boot directly armed for it). `work(state, i)` receives the
@@ -312,11 +249,12 @@ pub const SESSION_REP_BLOCK: usize = 32;
 /// blocks are claimed monotonically and a failing block stops at its first
 /// failing repetition, so the winning error is the same one the flat
 /// engine would report.
-pub fn run_cell_chunked<'a, T, S, N, F>(
+#[expect(clippy::disallowed_methods, reason = "a one-call run of the batch engine")]
+pub fn run_cell_chunked<T, S, N, F>(
     cells: usize,
     reps: usize,
     block: usize,
-    opts: &RunOptions<'a>,
+    opts: &RunOptions,
     state: N,
     work: F,
 ) -> Result<Vec<T>>
@@ -326,8 +264,7 @@ where
     N: Fn(Option<S>, usize, usize) -> Result<S> + Sync,
     F: Fn(&mut S, usize) -> Result<T> + Sync,
 {
-    let mut carried = Vec::new();
-    run_cell_chunked_from(&mut carried, cells, reps, block, opts, state, work)
+    run_cell_chunked_from(&mut Vec::new(), cells, reps, block, opts, state, work)
 }
 
 /// [`run_cell_chunked`] for a driver that calls the engine repeatedly
@@ -339,12 +276,12 @@ where
 /// # Errors
 ///
 /// As [`run_cell_chunked`].
-pub fn run_cell_chunked_from<'a, T, S, N, F>(
+pub fn run_cell_chunked_from<T, S, N, F>(
     carried: &mut Vec<S>,
     cells: usize,
     reps: usize,
     block: usize,
-    opts: &RunOptions<'a>,
+    opts: &RunOptions,
     state: N,
     work: F,
 ) -> Result<Vec<T>>
@@ -362,15 +299,11 @@ where
     let blocks = cells * blocks_per_cell;
     let total = cells * reps;
     let block_len = |g: usize| block.min(reps - (g % blocks_per_cell) * block);
-    let completed = AtomicUsize::new(0);
     // States the run has no worker for are dropped with the drain.
     let mut prevs = carried.drain(..);
     let mut workers = run_indexed_with(
         blocks,
-        &RunOptions {
-            jobs: opts.jobs,
-            progress: None,
-        },
+        opts,
         move |workers| Worker {
             state: prevs.next(),
             values: Vec::with_capacity(if workers == 1 { total } else { 0 }),
@@ -384,11 +317,6 @@ where
             let st = w.state.insert(next);
             for rep in first_rep..first_rep + block_len(g) {
                 w.values.push(work(st, cell * reps + rep)?);
-                if let Some(progress) = opts.progress {
-                    // Relaxed: a monotone progress counter consumed as a
-                    // high-water mark; no data is published under it.
-                    progress(completed.fetch_add(1, Ordering::Relaxed) + 1, total);
-                }
             }
             if !w.solo {
                 w.blocks.push(g);
@@ -609,6 +537,7 @@ impl Drop for PriorityPool {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "the engine's own tests drive it directly")]
 mod tests {
     use super::*;
 
@@ -647,21 +576,6 @@ mod tests {
             let err = run_indexed(100, &RunOptions::with_jobs(jobs), work).unwrap_err();
             assert!(err.to_string().contains("boom at 7"), "jobs = {jobs}: {err}");
         }
-    }
-
-    #[test]
-    fn progress_reports_every_item() {
-        let seen = AtomicUsize::new(0);
-        let total_seen = AtomicUsize::new(0);
-        let progress = |done: usize, total: usize| {
-            seen.fetch_add(1, Ordering::Relaxed);
-            total_seen.store(total, Ordering::Relaxed);
-            assert!(done >= 1 && done <= total);
-        };
-        let opts = RunOptions::with_jobs(3).with_progress(&progress);
-        run_indexed(25, &opts, Ok).unwrap();
-        assert_eq!(seen.load(Ordering::Relaxed), 25);
-        assert_eq!(total_seen.load(Ordering::Relaxed), 25);
     }
 
     #[test]
@@ -898,80 +812,6 @@ mod tests {
         )
         .unwrap();
         assert!(zero_reps.is_empty());
-    }
-
-    #[test]
-    fn cell_chunked_progress_reports_every_item() {
-        let seen = AtomicUsize::new(0);
-        let progress = |done: usize, total: usize| {
-            seen.fetch_add(1, Ordering::Relaxed);
-            assert!(done >= 1 && done <= total);
-            assert_eq!(total, 30);
-        };
-        let opts = RunOptions::with_jobs(3).with_progress(&progress);
-        run_cell_chunked(6, 5, 5, &opts, |_, _, _| Ok(()), |(), i| Ok(i)).unwrap();
-        assert_eq!(seen.load(Ordering::Relaxed), 30);
-    }
-
-    /// Satellite audit of the chunked-session progress accounting: with
-    /// one worker the callback sequence is *exactly* ascending, even when
-    /// `reps % block != 0` — the case where a cell spans a full block
-    /// plus a remainder block and a double-report would show up as a
-    /// repeated `done` value.
-    #[test]
-    fn cell_chunked_progress_sequence_pinned_sequential() {
-        let calls = Mutex::new(Vec::new());
-        let progress = |done: usize, total: usize| {
-            calls.lock().unwrap().push((done, total));
-        };
-        // 3 cells × 7 reps, block 5 → per cell one 5-block + one 2-block.
-        let opts = RunOptions::sequential().with_progress(&progress);
-        run_cell_chunked(3, 7, 5, &opts, |_, _, _| Ok(()), |(), i| Ok(i)).unwrap();
-        let expected: Vec<(usize, usize)> = (1..=21).map(|done| (done, 21)).collect();
-        assert_eq!(*calls.lock().unwrap(), expected);
-    }
-
-    /// At any worker count the `done` values of a successful run are a
-    /// permutation of `1..=total`: exactly once each, no double-reports
-    /// from remainder blocks, no missing ticks.
-    #[test]
-    fn cell_chunked_progress_is_permutation_with_ragged_blocks() {
-        for (jobs, cells, reps, block) in
-            [(4, 3, 7, 5), (8, 5, 9, 4), (2, 1, 33, SESSION_REP_BLOCK)]
-        {
-            let total = cells * reps;
-            let calls = Mutex::new(Vec::new());
-            let progress = |done: usize, reported_total: usize| {
-                assert_eq!(reported_total, total);
-                calls.lock().unwrap().push(done);
-            };
-            let opts = RunOptions::with_jobs(jobs).with_progress(&progress);
-            run_cell_chunked(cells, reps, block, &opts, |_, _, _| Ok(()), |(), i| Ok(i)).unwrap();
-            let mut seen = calls.into_inner().unwrap();
-            seen.sort_unstable();
-            assert_eq!(
-                seen,
-                (1..=total).collect::<Vec<_>>(),
-                "jobs={jobs} cells={cells} reps={reps} block={block}"
-            );
-        }
-    }
-
-    /// Empty dimensions must never invoke the callback — a daemon
-    /// streaming progress frames would otherwise emit a bogus tick for a
-    /// request that has no work.
-    #[test]
-    fn cell_chunked_progress_silent_when_empty() {
-        let progress = |done: usize, total: usize| {
-            panic!("progress({done}, {total}) called for empty work");
-        };
-        for (cells, reps) in [(0, 5), (5, 0), (0, 0)] {
-            let opts = RunOptions::with_jobs(4).with_progress(&progress);
-            let out =
-                run_cell_chunked(cells, reps, 3, &opts, |_, _, _| Ok(()), |(), i| Ok(i)).unwrap();
-            assert!(out.is_empty());
-        }
-        run_indexed(0, &RunOptions::with_jobs(4).with_progress(&progress), Ok).unwrap();
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! impl Experiment for Fig99 {
 //!     fn id(&self) -> &'static str { "fig99" }
 //!     fn title(&self) -> &'static str { "Figure 99: an example" }
-//!     fn run(&self, ctx: &ExperimentCtx<'_>) -> counterlab::Result<Report> {
+//!     fn run(&self, ctx: &ExperimentCtx) -> counterlab::Result<Report> {
 //!         let reps = ctx.scale.grid_reps;
 //!         Ok(Report::text("fig99.txt", format!("ran at {reps} reps")))
 //!     }
@@ -173,11 +173,11 @@ impl Capabilities {
 /// Everything an [`Experiment::run`] needs: scale, engine options, the
 /// engine-mode selector and enabled ablations.
 #[derive(Debug, Clone, Default)]
-pub struct ExperimentCtx<'a> {
+pub struct ExperimentCtx {
     /// Repetition preset.
     pub scale: Scale,
-    /// Execution-engine options (worker count, progress callback).
-    pub opts: RunOptions<'a>,
+    /// Execution-engine options (the worker count).
+    pub opts: RunOptions,
     /// Requested statistics engine. Experiments whose
     /// [`Capabilities::streaming`] is `false` run batch regardless; use
     /// [`Experiment::engine`] to resolve the effective mode.
@@ -193,7 +193,7 @@ impl Default for Scale {
     }
 }
 
-impl<'a> ExperimentCtx<'a> {
+impl ExperimentCtx {
     /// A batch-mode context at the given scale with default engine
     /// options and no ablations.
     pub fn new(scale: Scale) -> Self {
@@ -206,7 +206,7 @@ impl<'a> ExperimentCtx<'a> {
     }
 
     /// Replaces the execution-engine options.
-    pub fn with_opts(mut self, opts: RunOptions<'a>) -> Self {
+    pub fn with_opts(mut self, opts: RunOptions) -> Self {
         self.opts = opts;
         self
     }
@@ -247,7 +247,7 @@ pub trait Experiment: Sync {
 
     /// Resolves the engine the experiment will actually use for `ctx`:
     /// [`EngineMode::Streaming`] only when both requested and supported.
-    fn engine(&self, ctx: &ExperimentCtx<'_>) -> EngineMode {
+    fn engine(&self, ctx: &ExperimentCtx) -> EngineMode {
         match ctx.mode {
             EngineMode::Streaming if self.capabilities().streaming => EngineMode::Streaming,
             _ => EngineMode::Batch,
@@ -259,7 +259,7 @@ pub trait Experiment: Sync {
     /// # Errors
     ///
     /// Propagates measurement and statistics failures.
-    fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report>;
+    fn run(&self, ctx: &ExperimentCtx) -> Result<Report>;
 }
 
 /// Pushes one chunk of a row-stream artifact toward its destination.

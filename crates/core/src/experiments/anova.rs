@@ -63,7 +63,7 @@ impl Experiment for AnovaFigure {
         Capabilities::STREAMING
     }
 
-    fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
+    fn run(&self, ctx: &ExperimentCtx) -> Result<Report> {
         let reps = ctx.scale.grid_reps.max(Self::MIN_REPS);
         let exp = match self.engine(ctx) {
             EngineMode::Streaming => run_streaming_with(reps, &ctx.opts)?,
@@ -129,7 +129,7 @@ fn levels_of(config: &crate::config::MeasurementConfig) -> [usize; 5] {
 /// # Errors
 ///
 /// Propagates grid and ANOVA failures.
-pub fn run_with(reps: usize, opts: &RunOptions<'_>) -> Result<AnovaExperiment> {
+pub fn run_with(reps: usize, opts: &RunOptions) -> Result<AnovaExperiment> {
     let records = anova_grid(reps).run_with(opts)?;
     let mut anova = anova_skeleton();
     for r in &records {
@@ -151,7 +151,7 @@ pub fn run_with(reps: usize, opts: &RunOptions<'_>) -> Result<AnovaExperiment> {
 /// # Errors
 ///
 /// Propagates grid and ANOVA failures.
-pub fn run_streaming_with(reps: usize, opts: &RunOptions<'_>) -> Result<AnovaExperiment> {
+pub fn run_streaming_with(reps: usize, opts: &RunOptions) -> Result<AnovaExperiment> {
     let cells = anova_grid(reps).run_fold(
         opts,
         |_| Welford::new(),

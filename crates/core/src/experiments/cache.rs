@@ -15,22 +15,19 @@ use counterlab_stats::boxplot::BoxPlot;
 
 use crate::benchmark::Benchmark;
 use crate::config::MeasurementConfig;
-use crate::exec::{self, RunOptions};
+use crate::exec::RunOptions;
 use crate::experiment::{Experiment, ExperimentCtx, Report};
 use crate::interface::{CountingMode, Interface};
-use crate::measure::MeasurementSession;
-use crate::pattern::Pattern;
 use crate::report;
-use crate::{CoreError, Result};
+use crate::sweep::{CellFn, Plan, SeedFn, SESSION_REP_BLOCK};
+use crate::Result;
 
 /// The analytically expected d-cache misses of an array walk.
 pub fn expected_misses(iters: u64) -> u64 {
     iters / counterlab_cpu::machine::Machine::SEQUENTIAL_WALK_MISS_PERIOD
 }
 
-/// The per-run seed of the cache sweep — one definition shared by the
-/// runs and the session boot (so the first repetition's run consumes the
-/// boot state directly).
+/// The per-run seed of the cache sweep.
 fn cache_seed(interface: Interface, rep: usize) -> u64 {
     0xCAC4E ^ (rep as u64) << 8 ^ (interface as u64)
 }
@@ -79,11 +76,28 @@ impl Experiment for ExtCache {
         "extension: d-cache miss accuracy (Korn-style array walk, K8)"
     }
 
-    fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
+    fn run(&self, ctx: &ExperimentCtx) -> Result<Report> {
         let reps = ctx.scale.grid_reps.max(Self::MIN_REPS);
         let fig = run_with(Processor::AthlonK8, Self::ITERS, reps, &ctx.opts)?;
         Ok(Report::text("ext-cache.txt", fig.render()))
     }
+}
+
+/// The sweep: one cell per interface, `reps` array walks each.
+pub(crate) fn plan(
+    processor: Processor,
+    iters: u64,
+    reps: usize,
+) -> Plan<'static, impl CellFn, impl SeedFn> {
+    let cell = move |c: usize| {
+        let cfg = MeasurementConfig::new(processor, Interface::ALL[c])
+            .with_event(Event::DCacheMisses)
+            .with_mode(CountingMode::UserKernel)
+            .with_hz(0);
+        (cfg, Benchmark::ArrayWalk { iters })
+    };
+    let seed = |c: usize, rep: usize| cache_seed(Interface::ALL[c], rep);
+    Plan::new(Interface::ALL.len(), reps.max(2), SESSION_REP_BLOCK, cell, seed)
 }
 
 /// Runs the experiment: `reps` array-walk measurements of
@@ -96,48 +110,19 @@ pub fn run_with(
     processor: Processor,
     iters: u64,
     reps: usize,
-    opts: &RunOptions<'_>,
+    opts: &RunOptions,
 ) -> Result<CacheFigure> {
     let expected = expected_misses(iters);
-    let reps = reps.max(2);
-    let cfg_for = |interface: Interface, rep: usize| {
-        MeasurementConfig::new(processor, interface)
-            .with_pattern(Pattern::StartRead)
-            .with_event(Event::DCacheMisses)
-            .with_mode(CountingMode::UserKernel)
-            .with_hz(0)
-            .with_seed(cache_seed(interface, rep))
-    };
-    let excess = exec::run_cell_chunked(
-        Interface::ALL.len(),
-        reps,
-        exec::SESSION_REP_BLOCK,
-        opts,
-        |prev, cell, first_rep| {
-            MeasurementSession::reuse(
-                prev,
-                &cfg_for(Interface::ALL[cell], first_rep),
-                Benchmark::ArrayWalk { iters },
-            )
-        },
-        |session, idx| {
-            let interface = Interface::ALL[idx / reps];
-            let rec = session.run(cache_seed(interface, idx % reps))?;
-            Ok(rec.measured as f64 - expected as f64)
-        },
-    )?;
-
-    let mut rows = Vec::new();
-    for (i, &interface) in Interface::ALL.iter().enumerate() {
-        let errors = &excess[i * reps..(i + 1) * reps];
-        if errors.is_empty() {
-            return Err(CoreError::NoData("cache row"));
-        }
-        rows.push(CacheRow {
-            interface,
-            boxplot: BoxPlot::from_slice(errors)?,
-        });
-    }
+    let plan = plan(processor, iters, reps);
+    let records = plan.records(opts)?;
+    let rows = Interface::ALL
+        .iter()
+        .zip(records.chunks(plan.reps))
+        .map(|(&interface, runs)| {
+            let excess: Vec<_> = runs.iter().map(|r| r.measured as f64 - expected as f64).collect();
+            Ok(CacheRow { interface, boxplot: BoxPlot::from_slice(&excess)? })
+        })
+        .collect::<Result<_>>()?;
     Ok(CacheFigure {
         rows,
         iters,

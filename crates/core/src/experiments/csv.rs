@@ -6,8 +6,6 @@
 //! complete, `O(1)` memory in the record count. Its bytes are pinned by
 //! `tests/golden_csv.rs`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use crate::exec::RunOptions;
 use crate::experiment::{Artifact, Experiment, ExperimentCtx, Report};
 use crate::grid::Grid;
@@ -20,26 +18,27 @@ pub const ARTIFACT: &str = "full_grid.csv";
 ///
 /// The producer owns the grid and runs it when the sink drives the
 /// artifact, reporting decile progress on stderr when `progress` is set
-/// (stdout stays parseable). `jobs` follows [`RunOptions::jobs`]
+/// (stdout stays parseable): it counts the record lines it hands on
+/// against [`Grid::run_count`]. `jobs` follows [`RunOptions::jobs`]
 /// semantics (`0` = one worker per CPU).
 pub fn csv_artifact(grid: Grid, jobs: usize, progress: bool) -> Artifact {
     Artifact::rows(
         ARTIFACT,
         Box::new(move |push| {
-            let last_decile = AtomicUsize::new(0);
-            let report_decile = move |done: usize, total: usize| {
-                let decile = done * 10 / total.max(1);
-                // Relaxed: a monotone high-water mark gating progress prints
-                // only; duplicates or skips cost a log line, never a result.
-                if last_decile.fetch_max(decile, Ordering::Relaxed) < decile {
-                    eprintln!("csv: {}% ({done}/{total})", decile * 10);
+            let total = grid.run_count();
+            // Lines handed on so far: the header, then one per record, so
+            // at a record line it is that record's 1-based number.
+            let mut lines = 0usize;
+            let mut last_decile = 0;
+            let written = grid.run_csv(&RunOptions::with_jobs(jobs), |line| {
+                push(line);
+                let decile = lines * 10 / total.max(1);
+                if progress && decile > last_decile {
+                    last_decile = decile;
+                    eprintln!("csv: {}% ({lines}/{total})", decile * 10);
                 }
-            };
-            let mut opts = RunOptions::with_jobs(jobs);
-            if progress {
-                opts = opts.with_progress(&report_decile);
-            }
-            let written = grid.run_csv(&opts, |line| push(line))?;
+                lines += 1;
+            })?;
             Ok(written as u64)
         }),
     )
@@ -48,12 +47,10 @@ pub fn csv_artifact(grid: Grid, jobs: usize, progress: bool) -> Artifact {
 /// Registry driver for the `csv` command.
 ///
 /// Unlike the text experiments, the sweep runs when the *sink* drives
-/// the row artifact — after `run` has returned and the ctx borrow has
-/// ended — so the producer owns its inputs and cannot forward a
-/// borrowed [`RunOptions::progress`] callback. It therefore reports its
-/// own decile progress on stderr (stdout stays parseable); embedders
-/// who need custom progress or silence build the artifact directly via
-/// [`csv_artifact`] with `progress = false`.
+/// the row artifact — after `run` has returned — so the producer owns its
+/// inputs. It reports its own decile progress on stderr (stdout stays
+/// parseable); embedders who need silence build the artifact directly
+/// via [`csv_artifact`] with `progress = false`.
 pub struct CsvDump;
 
 impl Experiment for CsvDump {
@@ -65,7 +62,7 @@ impl Experiment for CsvDump {
         "full null grid as CSV (the raw data behind Figure 1)"
     }
 
-    fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
+    fn run(&self, ctx: &ExperimentCtx) -> Result<Report> {
         let grid = Grid::full_null(ctx.scale.grid_reps);
         let mut report = Report::new();
         report.push(csv_artifact(grid, ctx.opts.jobs, true));

@@ -13,15 +13,14 @@ use counterlab_cpu::pmu::Event;
 use counterlab_cpu::uarch::Processor;
 use counterlab_stats::regression::LinearFit;
 
-use crate::benchmark::Benchmark;
 use crate::config::{MeasurementConfig, OptLevel};
-use crate::exec::{self, RunOptions};
+use crate::exec::RunOptions;
 use crate::experiment::{Ablation, Capabilities, Experiment, ExperimentCtx, Report};
-use crate::exec::SESSION_REP_BLOCK;
+use crate::experiments::duration::loop_size_plan;
 use crate::interface::{CountingMode, Interface};
-use crate::measure::MeasurementSession;
 use crate::pattern::Pattern;
 use crate::report;
+use crate::sweep::{CellFn, Plan, SeedFn};
 use crate::{CoreError, Result};
 
 /// Default loop sizes of the cycle scatter plots.
@@ -94,7 +93,7 @@ impl Experiment for Fig10 {
         "Figure 10: cycle counts scatter by loop size"
     }
 
-    fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
+    fn run(&self, ctx: &ExperimentCtx) -> Result<Report> {
         let fig = run_fig10_with(&CYCLE_SIZES, ctx.scale.cycle_reps, &ctx.opts)?;
         Ok(Report::text("fig10.txt", fig.render()))
     }
@@ -127,7 +126,7 @@ impl Experiment for Fig11Experiment {
         }
     }
 
-    fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
+    fn run(&self, ctx: &ExperimentCtx) -> Result<Report> {
         let fig = run_fig11_with(&CYCLE_SIZES, ctx.scale.cycle_reps, &ctx.opts)?;
         let mut text = fig.render();
         if ctx.ablated(SINGLE_BUILD.flag) {
@@ -149,7 +148,7 @@ impl Experiment for Fig12Experiment {
         "Figure 12: one clean line per (pattern, -O) build on K8/pm"
     }
 
-    fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
+    fn run(&self, ctx: &ExperimentCtx) -> Result<Report> {
         let fig = run_fig12_with(&CYCLE_SIZES, ctx.scale.cycle_reps, &ctx.opts)?;
         Ok(Report::text("fig12.txt", fig.render()))
     }
@@ -163,7 +162,7 @@ impl Experiment for Fig12Experiment {
 /// # Errors
 ///
 /// Propagates measurement failures.
-pub fn run_fig10_with(sizes: &[u64], reps: usize, opts: &RunOptions<'_>) -> Result<CycleFigure> {
+pub fn run_fig10_with(sizes: &[u64], reps: usize, opts: &RunOptions) -> Result<CycleFigure> {
     let mut panels = Vec::new();
     for &interface in &[Interface::Pm, Interface::Pc] {
         for &processor in &Processor::ALL {
@@ -171,6 +170,35 @@ pub fn run_fig10_with(sizes: &[u64], reps: usize, opts: &RunOptions<'_>) -> Resu
         }
     }
     Ok(CycleFigure { panels })
+}
+
+/// The (pattern × optimization level) builds an interface supports.
+pub(crate) fn builds(interface: Interface) -> Vec<(Pattern, OptLevel)> {
+    Pattern::ALL
+        .iter()
+        .filter(|&&pattern| interface.supports(pattern))
+        .flat_map(|&pattern| OptLevel::ALL.iter().map(move |&opt| (pattern, opt)))
+        .collect()
+}
+
+/// One panel's sweep: one group per (pattern × optimization level) build.
+pub(crate) fn panel_plan<'a>(
+    interface: Interface,
+    processor: Processor,
+    builds: &'a [(Pattern, OptLevel)],
+    sizes: &'a [u64],
+    reps: usize,
+) -> Plan<'a, impl CellFn + 'a, impl SeedFn + 'a> {
+    let config = move |b: usize| {
+        let (pattern, opt_level) = builds[b];
+        MeasurementConfig::new(processor, interface)
+            .with_pattern(pattern)
+            .with_opt_level(opt_level)
+            .with_mode(CountingMode::UserKernel)
+            .with_event(Event::CoreCycles)
+    };
+    let seed = |_, iters: u64, rep: usize| 0xCC_1E5 ^ iters.wrapping_mul(7) ^ ((rep as u64) << 24);
+    loop_size_plan(builds.len(), sizes, reps.max(1), config, seed)
 }
 
 /// Runs one (interface, processor) panel (Figure 11 uses the K8/pm
@@ -185,62 +213,23 @@ pub fn panel_with(
     processor: Processor,
     sizes: &[u64],
     reps: usize,
-    opts: &RunOptions<'_>,
+    opts: &RunOptions,
 ) -> Result<CyclePanel> {
-    let reps = reps.max(1);
-    let builds: Vec<(Pattern, OptLevel)> = Pattern::ALL
-        .iter()
-        .filter(|&&pattern| interface.supports(pattern))
-        .flat_map(|&pattern| OptLevel::ALL.iter().map(move |&opt| (pattern, opt)))
-        .collect();
-    let per_build = sizes.len() * reps;
-    let seed_for = |iters: u64, rep: usize| {
-        0xCC_1E5 ^ iters.wrapping_mul(7) ^ ((rep as u64) << 24)
-    };
-    let cfg_for = |pattern: Pattern, opt_level: OptLevel, iters: u64, rep: usize| {
-        MeasurementConfig::new(processor, interface)
-            .with_pattern(pattern)
-            .with_opt_level(opt_level)
-            .with_mode(CountingMode::UserKernel)
-            .with_event(Event::CoreCycles)
-            .with_seed(seed_for(iters, rep))
-    };
-    // One cell per (build, size), each served by a reused session per
-    // repetition block — bit-identical to booting fresh per run.
-    let points = exec::run_cell_chunked(
-        builds.len() * sizes.len(),
-        reps,
-        SESSION_REP_BLOCK,
-        opts,
-        |prev, cell, first_rep| {
-            let (pattern, opt_level) = builds[cell / sizes.len()];
-            let iters = sizes[cell % sizes.len()];
-            MeasurementSession::reuse(
-                prev,
-                &cfg_for(pattern, opt_level, iters, first_rep),
-                Benchmark::Loop { iters },
-            )
-        },
-        |session, idx| {
-            let (pattern, opt_level) = builds[idx / per_build];
-            let iters = sizes[(idx % per_build) / reps];
-            let rec = session.run(seed_for(iters, idx % reps))?;
-            Ok(CyclePoint {
-                iters,
-                cycles: rec.measured,
-                pattern,
-                opt_level,
-            })
-        },
-    )?;
-    if points.is_empty() {
+    let builds = builds(interface);
+    let records = panel_plan(interface, processor, &builds, sizes, reps).records(opts)?;
+    if records.is_empty() {
         return Err(CoreError::NoData("cycle panel"));
     }
-    Ok(CyclePanel {
-        interface,
-        processor,
-        points,
-    })
+    let points = records
+        .iter()
+        .map(|r| CyclePoint {
+            iters: r.benchmark.iterations(),
+            cycles: r.measured,
+            pattern: r.config.pattern,
+            opt_level: r.config.opt_level,
+        })
+        .collect();
+    Ok(CyclePanel { interface, processor, points })
 }
 
 impl CycleFigure {
@@ -287,7 +276,7 @@ pub struct Fig11 {
 /// # Errors
 ///
 /// Propagates measurement failures.
-pub fn run_fig11_with(sizes: &[u64], reps: usize, opts: &RunOptions<'_>) -> Result<Fig11> {
+pub fn run_fig11_with(sizes: &[u64], reps: usize, opts: &RunOptions) -> Result<Fig11> {
     let p = panel_with(Interface::Pm, Processor::AthlonK8, sizes, reps, opts)?;
     let (group_2i, group_3i): (Vec<CyclePoint>, Vec<CyclePoint>) =
         p.points.into_iter().partition(|q| q.cpi() < 2.5);
@@ -363,7 +352,7 @@ pub struct Fig12 {
 /// # Errors
 ///
 /// Propagates measurement and regression failures.
-pub fn run_fig12_with(sizes: &[u64], reps: usize, opts: &RunOptions<'_>) -> Result<Fig12> {
+pub fn run_fig12_with(sizes: &[u64], reps: usize, opts: &RunOptions) -> Result<Fig12> {
     let p = panel_with(Interface::Pm, Processor::AthlonK8, sizes, reps, opts)?;
     let mut panels = Vec::new();
     for &pattern in &Pattern::ALL {

@@ -17,13 +17,12 @@ use counterlab_stats::regression::LinearFit;
 
 use crate::benchmark::Benchmark;
 use crate::config::MeasurementConfig;
-use crate::exec::{self, RunOptions};
+use crate::exec::RunOptions;
 use crate::experiment::{Ablation, Capabilities, Experiment, ExperimentCtx, Report};
 use crate::interface::{CountingMode, Interface};
-use crate::measure::{MeasurementSession, Record};
-use crate::pattern::Pattern;
+use crate::measure::Record;
 use crate::report;
-use crate::exec::SESSION_REP_BLOCK;
+use crate::sweep::{CellFn, Plan, SeedFn, SESSION_REP_BLOCK};
 use crate::{CoreError, Result};
 
 /// Default loop sizes for the slope experiments. The paper's figures show
@@ -97,7 +96,7 @@ impl Experiment for Fig7 {
         }
     }
 
-    fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
+    fn run(&self, ctx: &ExperimentCtx) -> Result<Report> {
         let hz = if ctx.ablated(NO_TIMER.flag) {
             0
         } else {
@@ -124,7 +123,7 @@ impl Experiment for Fig8 {
         Capabilities::BATCH_ONLY
     }
 
-    fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
+    fn run(&self, ctx: &ExperimentCtx) -> Result<Report> {
         let fig = slopes_for_ctx(ctx, CountingMode::User, DEFAULT_HZ)?;
         Ok(Report::text("fig8.txt", fig.render()))
     }
@@ -132,7 +131,7 @@ impl Experiment for Fig8 {
 
 /// The shared Figure 7/8 body: the [`DEFAULT_SIZES`] sweep at the ctx's
 /// duration reps.
-fn slopes_for_ctx(ctx: &ExperimentCtx<'_>, mode: CountingMode, hz: u32) -> Result<DurationFigure> {
+fn slopes_for_ctx(ctx: &ExperimentCtx, mode: CountingMode, hz: u32) -> Result<DurationFigure> {
     run_slopes_with(mode, &DEFAULT_SIZES, ctx.scale.duration_reps, hz, &ctx.opts)
 }
 
@@ -153,7 +152,7 @@ impl Experiment for Fig9Experiment {
         Capabilities::BATCH_ONLY
     }
 
-    fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
+    fn run(&self, ctx: &ExperimentCtx) -> Result<Report> {
         let fig = run_fig9_with(
             Processor::Core2Duo,
             &FIG9_SIZES,
@@ -162,6 +161,58 @@ impl Experiment for Fig9Experiment {
         )?;
         Ok(Report::text("fig9.txt", fig.render()))
     }
+}
+
+/// A loop-size sweep: one cell per (group, loop size), group-major, `reps`
+/// runs each. Group `g`'s cells measure `config(g)` on the loop benchmark;
+/// run `rep` at loop size `size` in group `g` is seeded
+/// `seed(g, size, rep)`. Figures 7–9 and 10–12 are all such sweeps.
+pub(crate) fn loop_size_plan<'a>(
+    groups: usize,
+    sizes: &'a [u64],
+    reps: usize,
+    config: impl Fn(usize) -> MeasurementConfig + Sync + 'a,
+    seed: impl Fn(usize, u64, usize) -> u64 + Sync + 'a,
+) -> Plan<'a, impl CellFn + 'a, impl SeedFn + 'a> {
+    let n = sizes.len();
+    let cell = move |c: usize| (config(c / n), Benchmark::Loop { iters: sizes[c % n] });
+    let seed = move |c: usize, rep: usize| seed(c / n, sizes[c % n], rep);
+    Plan::new(groups * n, reps, SESSION_REP_BLOCK, cell, seed)
+}
+
+/// The (interface, processor) pairs of Figures 7 and 8.
+const PAIRS: usize = Interface::ALL.len() * Processor::ALL.len();
+
+/// Pair `p`, interface-major.
+fn pair(p: usize) -> (Interface, Processor) {
+    (Interface::ALL[p / Processor::ALL.len()], Processor::ALL[p % Processor::ALL.len()])
+}
+
+/// The Figure 7/8 sweep: one group per (interface, processor) pair.
+pub(crate) fn slopes_plan(
+    mode: CountingMode,
+    sizes: &[u64],
+    reps: usize,
+    hz: u32,
+) -> Plan<'_, impl CellFn + '_, impl SeedFn + '_> {
+    let config = move |p| {
+        let (interface, processor) = pair(p);
+        MeasurementConfig::new(processor, interface)
+            .with_mode(mode)
+            .with_hz(hz)
+    };
+    // Per-cell seed decorrelation: every (interface, processor, size,
+    // rep) run gets an independent timer phase, as every paper run was
+    // a fresh process.
+    let seed = |p, size: u64, rep: usize| {
+        let (interface, processor) = pair(p);
+        0xD0_0D
+            ^ size.wrapping_mul(0x9E37_79B9)
+            ^ ((rep as u64) << 17)
+            ^ ((interface as u64) << 40)
+            ^ ((processor as u64) << 47)
+    };
+    loop_size_plan(PAIRS, sizes, reps.max(1), config, seed)
 }
 
 /// Runs the loop benchmark over `sizes` with `reps` repetitions per size
@@ -179,58 +230,18 @@ pub fn run_slopes_with(
     sizes: &[u64],
     reps: usize,
     hz: u32,
-    opts: &RunOptions<'_>,
+    opts: &RunOptions,
 ) -> Result<DurationFigure> {
-    let reps = reps.max(1);
-    let per_pair = sizes.len() * reps;
-    let pairs: Vec<(Interface, Processor)> = Interface::ALL
-        .iter()
-        .flat_map(|&i| Processor::ALL.iter().map(move |&p| (i, p)))
-        .collect();
-    // Per-cell seed decorrelation: every (interface, processor, size,
-    // rep) run gets an independent timer phase, as every paper run was a
-    // fresh process.
-    let seed_for = |interface: Interface, processor: Processor, size: u64, rep: usize| {
-        0xD0_0D
-            ^ size.wrapping_mul(0x9E37_79B9)
-            ^ ((rep as u64) << 17)
-            ^ ((interface as u64) << 40)
-            ^ ((processor as u64) << 47)
-    };
-    // One cell per (pair, size); a session boots once per repetition
-    // block and is reseeded per run — bit-identical to fresh boots.
-    let records = exec::run_cell_chunked(
-        pairs.len() * sizes.len(),
-        reps,
-        SESSION_REP_BLOCK,
-        opts,
-        |prev, cell, first_rep| {
-            let (interface, processor) = pairs[cell / sizes.len()];
-            let size = sizes[cell % sizes.len()];
-            let cfg = MeasurementConfig::new(processor, interface)
-                .with_pattern(Pattern::StartRead)
-                .with_mode(mode)
-                .with_hz(hz)
-                .with_seed(seed_for(interface, processor, size, first_rep));
-            MeasurementSession::reuse(prev, &cfg, Benchmark::Loop { iters: size })
-        },
-        |session, idx| {
-            let (interface, processor) = pairs[idx / per_pair];
-            let size = sizes[(idx % per_pair) / reps];
-            let rep = idx % reps;
-            session.run(seed_for(interface, processor, size, rep))
-        },
-    )?;
-
+    let plan = slopes_plan(mode, sizes, reps, hz);
+    let per_pair = sizes.len() * plan.reps;
+    let records = plan.records(opts)?;
     let mut cells = Vec::new();
-    for (pair_idx, &(interface, processor)) in pairs.iter().enumerate() {
-        let slice = &records[pair_idx * per_pair..(pair_idx + 1) * per_pair];
-        let xs: Vec<f64> = slice
-            .iter()
-            .map(|r| r.benchmark.iterations() as f64)
-            .collect();
+    for p in 0..PAIRS {
+        let slice = &records[p * per_pair..(p + 1) * per_pair];
+        let xs: Vec<f64> = slice.iter().map(|r| r.benchmark.iterations() as f64).collect();
         let ys: Vec<f64> = slice.iter().map(|r| r.error() as f64).collect();
         let fit = LinearFit::fit(&xs, &ys)?;
+        let (interface, processor) = pair(p);
         cells.push(SlopeCell {
             interface,
             processor,
@@ -305,6 +316,20 @@ pub struct Fig9 {
     pub processor: Processor,
 }
 
+/// The Figure 9 sweep: kernel-mode counts of `pc` on `processor`.
+pub(crate) fn fig9_plan(
+    processor: Processor,
+    sizes: &[u64],
+    reps: usize,
+) -> Plan<'_, impl CellFn + '_, impl SeedFn + '_> {
+    let config = move |_| {
+        MeasurementConfig::new(processor, Interface::Pc).with_mode(CountingMode::Kernel)
+    };
+    loop_size_plan(1, sizes, reps.max(2), config, |_, size, rep| {
+        0xF169 ^ size.wrapping_mul(1_000_003) ^ (rep as u64) << 20
+    })
+}
+
 /// Runs Figure 9: kernel-mode instruction counts by loop size for perfctr
 /// (`pc`) on the given processor, `reps` runs per size.
 ///
@@ -315,61 +340,25 @@ pub fn run_fig9_with(
     processor: Processor,
     sizes: &[u64],
     reps: usize,
-    opts: &RunOptions<'_>,
+    opts: &RunOptions,
 ) -> Result<Fig9> {
-    let reps = reps.max(2);
-    let seed_for = |size: u64, rep: usize| {
-        0xF169 ^ size.wrapping_mul(1_000_003) ^ (rep as u64) << 20
-    };
-    let cfg_for = |size: u64, rep: usize| {
-        MeasurementConfig::new(processor, Interface::Pc)
-            .with_pattern(Pattern::StartRead)
-            .with_mode(CountingMode::Kernel)
-            .with_seed(seed_for(size, rep))
-    };
-    let records = exec::run_cell_chunked(
-        sizes.len(),
-        reps,
-        SESSION_REP_BLOCK,
-        opts,
-        |prev, cell, first_rep| {
-            let size = sizes[cell];
-            let cfg = cfg_for(size, first_rep);
-            MeasurementSession::reuse(prev, &cfg, Benchmark::Loop { iters: size })
-        },
-        |session, idx| {
-            let size = sizes[idx / reps];
-            session.run(seed_for(size, idx % reps))
-        },
-    )?;
-
-    let mut boxes = Vec::new();
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    for (i, &size) in sizes.iter().enumerate() {
-        let errors: Vec<f64> = records[i * reps..(i + 1) * reps]
-            .iter()
-            .map(|r| r.error() as f64)
-            .collect();
-        xs.extend(std::iter::repeat_n(size as f64, errors.len()));
-        ys.extend_from_slice(&errors);
-        let boxplot = BoxPlot::from_slice(&errors)?;
-        let mean = boxplot.mean();
-        boxes.push(Fig9Box {
-            size,
-            boxplot,
-            mean,
-        });
-    }
-    if xs.is_empty() {
+    let plan = fig9_plan(processor, sizes, reps);
+    let records = plan.records(opts)?;
+    if records.is_empty() {
         return Err(CoreError::NoData("fig9"));
     }
-    let fit = LinearFit::fit(&xs, &ys)?;
-    Ok(Fig9 {
-        boxes,
-        slope: fit.slope(),
-        processor,
-    })
+    let xs: Vec<f64> = records.iter().map(|r| r.benchmark.iterations() as f64).collect();
+    let errors: Vec<f64> = records.iter().map(|r| r.error() as f64).collect();
+    let boxes = sizes
+        .iter()
+        .zip(errors.chunks(plan.reps))
+        .map(|(&size, errors)| {
+            let boxplot = BoxPlot::from_slice(errors)?;
+            Ok(Fig9Box { size, mean: boxplot.mean(), boxplot })
+        })
+        .collect::<Result<_>>()?;
+    let fit = LinearFit::fit(&xs, &errors)?;
+    Ok(Fig9 { boxes, slope: fit.slope(), processor })
 }
 
 impl Fig9 {
@@ -401,6 +390,19 @@ impl Fig9 {
     }
 }
 
+/// The sweep behind [`sweep_records_with`].
+pub(crate) fn sweep_plan(
+    interface: Interface,
+    processor: Processor,
+    mode: CountingMode,
+    sizes: &[u64],
+    reps: usize,
+) -> Plan<'_, impl CellFn + '_, impl SeedFn + '_> {
+    let config = move |_| MeasurementConfig::new(processor, interface).with_mode(mode);
+    let seed = |_, size: u64, rep: usize| 0x517A_u64 ^ size ^ ((rep as u64) << 32);
+    loop_size_plan(1, sizes, reps.max(1), config, seed)
+}
+
 /// Collects the raw records of a duration sweep (used by the CSV export
 /// and the benches).
 ///
@@ -413,31 +415,9 @@ pub fn sweep_records_with(
     mode: CountingMode,
     sizes: &[u64],
     reps: usize,
-    opts: &RunOptions<'_>,
+    opts: &RunOptions,
 ) -> Result<Vec<Record>> {
-    let reps = reps.max(1);
-    let seed_for = |size: u64, rep: usize| 0x517A_u64 ^ size ^ ((rep as u64) << 32);
-    let cfg_for = |size: u64, rep: usize| {
-        MeasurementConfig::new(processor, interface)
-            .with_pattern(Pattern::StartRead)
-            .with_mode(mode)
-            .with_seed(seed_for(size, rep))
-    };
-    exec::run_cell_chunked(
-        sizes.len(),
-        reps,
-        SESSION_REP_BLOCK,
-        opts,
-        |prev, cell, first_rep| {
-            let size = sizes[cell];
-            let cfg = cfg_for(size, first_rep);
-            MeasurementSession::reuse(prev, &cfg, Benchmark::Loop { iters: size })
-        },
-        |session, idx| {
-            let size = sizes[idx / reps];
-            session.run(seed_for(size, idx % reps))
-        },
-    )
+    sweep_plan(interface, processor, mode, sizes, reps).records(opts)
 }
 
 #[cfg(test)]

@@ -91,7 +91,7 @@ impl Experiment for Table3 {
         Capabilities::STREAMING
     }
 
-    fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
+    fn run(&self, ctx: &ExperimentCtx) -> Result<Report> {
         let text = match self.engine(ctx) {
             EngineMode::Streaming => {
                 run_streaming_with(ctx.scale.grid_reps, &ctx.opts)?.render_table3()
@@ -121,7 +121,7 @@ impl Experiment for Fig6 {
         "Figure 6: error per interface as box plots"
     }
 
-    fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
+    fn run(&self, ctx: &ExperimentCtx) -> Result<Report> {
         let fig = run_with(ctx.scale.grid_reps, &ctx.opts)?;
         Ok(Report::text("fig6.txt", fig.render_fig6()))
     }
@@ -132,7 +132,7 @@ impl Experiment for Fig6 {
 /// # Errors
 ///
 /// Propagates grid and statistics failures.
-pub fn run_with(reps: usize, opts: &RunOptions<'_>) -> Result<InfrastructureFigure> {
+pub fn run_with(reps: usize, opts: &RunOptions) -> Result<InfrastructureFigure> {
     let mut grid = Grid::new(Benchmark::Null);
     grid.processors = Processor::ALL.to_vec();
     grid.interfaces = Interface::ALL.to_vec();
@@ -214,7 +214,7 @@ pub struct StreamingInfrastructure {
 /// # Errors
 ///
 /// Propagates grid and statistics failures.
-pub fn run_streaming_with(reps: usize, opts: &RunOptions<'_>) -> Result<StreamingInfrastructure> {
+pub fn run_streaming_with(reps: usize, opts: &RunOptions) -> Result<StreamingInfrastructure> {
     let mut grid = Grid::new(Benchmark::Null);
     grid.processors = Processor::ALL.to_vec();
     grid.interfaces = Interface::ALL.to_vec();

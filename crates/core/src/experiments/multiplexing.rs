@@ -44,7 +44,7 @@ impl Experiment for ExtMultiplex {
         "extension: multiplexed counting accuracy (4 events on 2 counters)"
     }
 
-    fn run(&self, _ctx: &ExperimentCtx<'_>) -> Result<Report> {
+    fn run(&self, _ctx: &ExperimentCtx) -> Result<Report> {
         let fig = run(Self::SLICES, Self::PER_SLICE)?;
         Ok(Report::text("ext-multiplex.txt", fig.render()))
     }

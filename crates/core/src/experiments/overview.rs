@@ -28,7 +28,7 @@ impl Experiment for Fig1 {
         Capabilities::STREAMING
     }
 
-    fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
+    fn run(&self, ctx: &ExperimentCtx) -> Result<Report> {
         let text = match self.engine(ctx) {
             EngineMode::Streaming => {
                 run_streaming_with(ctx.scale.grid_reps, &ctx.opts)?.render()
@@ -60,7 +60,7 @@ pub struct Overview {
 /// # Errors
 ///
 /// Propagates grid failures and summary-statistics errors.
-pub fn run_with(reps: usize, opts: &RunOptions<'_>) -> Result<Overview> {
+pub fn run_with(reps: usize, opts: &RunOptions) -> Result<Overview> {
     let grid = Grid::full_null(reps.max(1));
     let records = grid.run_with(opts)?;
     let user: Vec<f64> = records
@@ -109,7 +109,7 @@ pub struct StreamingOverview {
 /// # Errors
 ///
 /// Propagates grid failures and summary-statistics errors.
-pub fn run_streaming_with(reps: usize, opts: &RunOptions<'_>) -> Result<StreamingOverview> {
+pub fn run_streaming_with(reps: usize, opts: &RunOptions) -> Result<StreamingOverview> {
     let grid = Grid::full_null(reps.max(1));
     let cells = grid.run_fold(
         opts,

@@ -55,7 +55,7 @@ impl Experiment for Fig5 {
         "Figure 5: error depends on number of counters (K8)"
     }
 
-    fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
+    fn run(&self, ctx: &ExperimentCtx) -> Result<Report> {
         let fig = run_with(Processor::AthlonK8, ctx.scale.grid_reps, &ctx.opts)?;
         Ok(Report::text("fig5.txt", fig.render()))
     }
@@ -69,7 +69,7 @@ impl Experiment for Fig5 {
 pub fn run_with(
     processor: Processor,
     reps: usize,
-    opts: &RunOptions<'_>,
+    opts: &RunOptions,
 ) -> Result<RegisterFigure> {
     let max_ctrs = processor.uarch().programmable_counters.min(4);
     let mut grid = Grid::new(Benchmark::Null);

@@ -22,7 +22,7 @@ impl Experiment for Table1 {
         "Table 1: processors used in the study"
     }
 
-    fn run(&self, _ctx: &ExperimentCtx<'_>) -> Result<Report> {
+    fn run(&self, _ctx: &ExperimentCtx) -> Result<Report> {
         Ok(Report::text("table1.txt", table1()))
     }
 }
@@ -39,7 +39,7 @@ impl Experiment for Table2 {
         "Table 2: counter access patterns"
     }
 
-    fn run(&self, _ctx: &ExperimentCtx<'_>) -> Result<Report> {
+    fn run(&self, _ctx: &ExperimentCtx) -> Result<Report> {
         Ok(Report::text("table2.txt", table2()))
     }
 }
@@ -56,7 +56,7 @@ impl Experiment for Fig3 {
         "Figure 3: loop micro-benchmark and its instruction model"
     }
 
-    fn run(&self, _ctx: &ExperimentCtx<'_>) -> Result<Report> {
+    fn run(&self, _ctx: &ExperimentCtx) -> Result<Report> {
         Ok(Report::text("fig3.txt", fig3()))
     }
 }

@@ -54,7 +54,7 @@ impl Experiment for Fig4 {
         "Figure 4: using the TSC reduces error on perfctr (CD)"
     }
 
-    fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
+    fn run(&self, ctx: &ExperimentCtx) -> Result<Report> {
         let fig = run_with(Processor::Core2Duo, ctx.scale.grid_reps, &ctx.opts)?;
         Ok(Report::text("fig4.txt", fig.render()))
     }
@@ -67,7 +67,7 @@ impl Experiment for Fig4 {
 /// # Errors
 ///
 /// Propagates grid and statistics failures.
-pub fn run_with(processor: Processor, reps: usize, opts: &RunOptions<'_>) -> Result<TscFigure> {
+pub fn run_with(processor: Processor, reps: usize, opts: &RunOptions) -> Result<TscFigure> {
     let max_ctrs = processor.uarch().programmable_counters.min(4);
     let mut grid = Grid::new(Benchmark::Null);
     grid.processors = vec![processor];

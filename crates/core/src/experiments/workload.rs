@@ -11,8 +11,8 @@
 //! never model slack.
 //!
 //! The sweep runs on measurement sessions; its fresh-boot oracle
-//! ([`run_streaming_with`]) visits the same cells with the same per-run
-//! seeds on the same engine, booting per run instead. The rendered table
+//! ([`run_streaming_with`]) hands the same plan to the same runner, with
+//! one boot per run instead. The rendered table
 //! and the raw-record CSV are byte-identical across the two, any job
 //! count and `--stream` (pinned by `tests/golden_workload_csv.rs`).
 
@@ -23,12 +23,12 @@ use counterlab_stats::stream::SummaryAccumulator;
 
 use crate::benchmark::Benchmark;
 use crate::config::MeasurementConfig;
-use crate::exec::{self, RunOptions};
+use crate::exec::RunOptions;
 use crate::experiment::{Artifact, Experiment, ExperimentCtx, Report};
 use crate::interface::{CountingMode, Interface};
-use crate::measure::{run_measurement, MeasurementSession, Record};
-use crate::pattern::Pattern;
+use crate::measure::{run_measurement, Record};
 use crate::report;
+use crate::sweep::{CellFn, Measure, Plan, SeedFn, SESSION_REP_BLOCK};
 use crate::Result;
 
 /// The CSV artifact name (raw records, one per run, flat cell order).
@@ -72,18 +72,24 @@ pub fn cells() -> Vec<(Benchmark, Event, Interface)> {
     out
 }
 
-/// The per-run seed — one definition shared by the runs, the fresh-boot
-/// oracle and the session boot.
+/// The per-run seed.
 fn wa_seed(cell: usize, rep: usize) -> u64 {
     seed_combine(seed_combine(0x20_AC00, cell as u64), rep as u64)
 }
 
-fn cfg_for(cell: &(Benchmark, Event, Interface), cell_idx: usize, rep: usize) -> MeasurementConfig {
-    MeasurementConfig::new(Processor::AthlonK8, cell.2)
-        .with_pattern(Pattern::StartRead)
-        .with_event(cell.1)
-        .with_mode(CountingMode::User)
-        .with_seed(wa_seed(cell_idx, rep))
+/// The sweep over `cells` (from [`cells`]), `reps` runs each.
+pub(crate) fn plan(
+    cells: &[(Benchmark, Event, Interface)],
+    reps: usize,
+) -> Plan<'_, impl CellFn + '_, impl SeedFn> {
+    let cell = move |c: usize| {
+        let (benchmark, event, interface) = cells[c];
+        let cfg = MeasurementConfig::new(Processor::AthlonK8, interface)
+            .with_event(event)
+            .with_mode(CountingMode::User);
+        (cfg, benchmark)
+    };
+    Plan::new(cells.len(), reps.max(2), SESSION_REP_BLOCK, cell, wa_seed)
 }
 
 /// One rendered row: a (workload, event) class's error distribution,
@@ -136,12 +142,12 @@ fn aggregate(records: &[Record], reps: usize) -> Result<Vec<WorkloadRow>> {
 /// # Errors
 ///
 /// Propagates measurement and statistics failures.
-pub fn run_with(reps: usize, opts: &RunOptions<'_>) -> Result<WorkloadFigure> {
-    sweep(reps, opts, false)
+pub fn run_with(reps: usize, opts: &RunOptions) -> Result<WorkloadFigure> {
+    figure(reps, opts, None)
 }
 
-/// The fresh-boot oracle of [`run_with`]: the same sweep (same cells, same
-/// per-run seeds, same engine) with one freshly booted stack per run
+/// The fresh-boot oracle of [`run_with`]: the same plan (same cells, same
+/// per-run seeds, same runner) with one freshly booted stack per run
 /// instead of a session. The session ≡ fresh-boot bit-identity invariant
 /// makes the records equal: perfbench's `zoo_sweep` set-up and `repro
 /// bench` call it as the fresh-boot oracle. No CLI mode selects it; the
@@ -150,36 +156,16 @@ pub fn run_with(reps: usize, opts: &RunOptions<'_>) -> Result<WorkloadFigure> {
 /// # Errors
 ///
 /// Propagates measurement and statistics failures.
-pub fn run_streaming_with(reps: usize, opts: &RunOptions<'_>) -> Result<WorkloadFigure> {
-    sweep(reps, opts, true)
+pub fn run_streaming_with(reps: usize, opts: &RunOptions) -> Result<WorkloadFigure> {
+    figure(reps, opts, Some(&run_measurement))
 }
 
-/// The one sweep behind [`run_with`] and [`run_streaming_with`]: with
-/// `fresh` set a block boots nothing and every run boots its own stack.
-fn sweep(reps: usize, opts: &RunOptions<'_>, fresh: bool) -> Result<WorkloadFigure> {
-    let reps = reps.max(2);
+/// [`run_with`] with its runs going through `measure`, if given.
+fn figure(reps: usize, opts: &RunOptions, measure: Option<Measure<'_>>) -> Result<WorkloadFigure> {
     let cells = cells();
-    let records = exec::run_cell_chunked(
-        cells.len(),
-        reps,
-        exec::SESSION_REP_BLOCK,
-        opts,
-        |prev: Option<Option<MeasurementSession>>, cell, first_rep| {
-            if fresh {
-                return Ok(None);
-            }
-            let cfg = cfg_for(&cells[cell], cell, first_rep);
-            MeasurementSession::reuse(prev.flatten(), &cfg, cells[cell].0).map(Some)
-        },
-        |session, idx| {
-            let (cell, rep) = (idx / reps, idx % reps);
-            match session {
-                Some(session) => session.run(wa_seed(cell, rep)),
-                None => run_measurement(&cfg_for(&cells[cell], cell, rep), cells[cell].0),
-            }
-        },
-    )?;
-    let rows = aggregate(&records, reps)?;
+    let plan = Plan { measure, ..plan(&cells, reps) };
+    let records = plan.records(opts)?;
+    let rows = aggregate(&records, plan.reps)?;
     Ok(WorkloadFigure { rows, records })
 }
 
@@ -244,7 +230,7 @@ impl Experiment for WorkloadAccuracy {
         "extension: counter accuracy vs. workload class (zoo sweep, K8)"
     }
 
-    fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
+    fn run(&self, ctx: &ExperimentCtx) -> Result<Report> {
         let reps = ctx.scale.grid_reps.max(Self::MIN_REPS);
         let figure = run_with(reps, &ctx.opts)?;
         let mut report = Report::text(TEXT_ARTIFACT, figure.render());

@@ -18,10 +18,11 @@ use counterlab_stats::stream::SummaryAccumulator;
 
 use crate::benchmark::Benchmark;
 use crate::config::{MeasurementConfig, OptLevel};
-use crate::exec::{self, RunOptions};
+use crate::exec::RunOptions;
 use crate::interface::{CountingMode, Interface};
-use crate::measure::{run_measurement, MeasurementSession, Record};
+use crate::measure::{run_measurement, Record};
 use crate::pattern::Pattern;
+use crate::sweep::{CellFn, Measure, Plan, SeedFn};
 use crate::Result;
 
 /// A factorial experiment specification.
@@ -53,11 +54,13 @@ pub struct Grid {
     pub base_seed: u64,
     /// Timer frequency.
     pub hz: u32,
-    /// Boot one fresh simulated stack **per run** instead of reusing one
-    /// [`MeasurementSession`] per cell. The session path (the default) is
-    /// bit-identical and much faster; the fresh-boot path is kept as the
-    /// equivalence oracle the session path is verified against, and for
-    /// `repro bench`'s before/after comparison.
+    /// Boot one fresh simulated stack **per run** ([`run_measurement`],
+    /// through [`Plan::measure`]) instead of running each worker's cells
+    /// on its [`MeasurementSession`](crate::measure::MeasurementSession).
+    /// The session path (the default) is bit-identical and much faster;
+    /// the fresh-boot path is kept as the equivalence oracle the session
+    /// path is verified against, and for `repro bench`'s before/after
+    /// comparison.
     pub fresh_boot: bool,
 }
 
@@ -191,11 +194,30 @@ impl Grid {
         self.run_with(&RunOptions::default())
     }
 
+    /// The grid's sweep plan over `cells`, which should come from
+    /// [`Grid::cells`]: each run seeded from [`Grid::base_seed`], the cell
+    /// and the repetition; every cell one block, so all its repetitions run
+    /// on one worker's [`MeasurementSession`](crate::measure::MeasurementSession); and, under
+    /// [`Grid::fresh_boot`], one [`run_measurement`] boot per run.
+    pub fn plan<'a>(
+        &'a self,
+        cells: &'a [MeasurementConfig],
+    ) -> Plan<'a, impl CellFn + 'a, impl SeedFn + 'a> {
+        #[expect(clippy::indexing_slicing, reason = "the runner asks for cells < cells.len()")]
+        let (cell, seed) = (
+            move |c: usize| (cells[c], self.benchmark),
+            move |c: usize, rep: usize| per_run_seed(self.base_seed, &cells[c], rep),
+        );
+        let fresh = self.fresh_boot.then_some(&run_measurement as Measure<'a>);
+        Plan { measure: fresh, ..Plan::new(cells.len(), self.reps, self.reps, cell, seed) }
+    }
+
     /// Runs the whole grid with explicit [`RunOptions`].
     ///
     /// Work is distributed **cell-chunked**: all repetitions of a cell run
-    /// on one worker against one [`MeasurementSession`], which the worker
-    /// re-targets to its next cell when that cell runs on the same
+    /// on one worker against one
+    /// [`MeasurementSession`](crate::measure::MeasurementSession), which
+    /// the worker re-targets to its next cell when that cell runs on the same
     /// processor × interface (or one fresh boot per run when
     /// [`Grid::fresh_boot`] is set). Records come back in
     /// cell-enumeration × repetition order no matter how many workers run
@@ -206,111 +228,19 @@ impl Grid {
     ///
     /// [`crate::CoreError::ZeroCounters`] if the specification fails
     /// [`Grid::validate`]; otherwise propagates the lowest-index
-    /// measurement failure (see [`exec::run_cell_chunked`]).
-    #[expect(clippy::indexing_slicing, reason = "the engine dispenses ci < cells.len()")]
-    pub fn run_with(&self, opts: &RunOptions<'_>) -> Result<Vec<Record>> {
-        self.validate()?;
-        if self.fresh_boot {
-            return self.run_with_measure(opts, run_measurement);
-        }
-        let cells: Vec<MeasurementConfig> = self.cells().collect();
-        exec::run_cell_chunked(
-            cells.len(),
-            self.reps,
-            self.reps,
-            opts,
-            |prev, ci, first_rep| self.session_for(prev, &cells[ci], first_rep),
-            |session, i| {
-                #[expect(clippy::indexing_slicing, reason = "i < cells.len() * reps by dispenser")]
-                let cell = &cells[i / self.reps];
-                let seed = per_run_seed(self.base_seed, cell, i % self.reps);
-                session.run(seed)
-            },
-        )
-    }
-
-    /// [`Grid::run_with`] with an injectable measurement function — the
-    /// seam that lets instrumentation (and the error-propagation tests)
-    /// wrap or replace [`run_measurement`] while exercising the *real*
-    /// grid plumbing: cell enumeration, cell-chunked work distribution,
-    /// per-run seeding, and the engine's lowest-index-wins error
-    /// propagation. `measure` is called once per run, so this path boots
-    /// fresh per run by construction (it cannot reuse a session through
-    /// the closure seam).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-index failure of `measure`.
-    pub fn run_with_measure<F>(&self, opts: &RunOptions<'_>, measure: F) -> Result<Vec<Record>>
-    where
-        F: Fn(&MeasurementConfig, Benchmark) -> Result<Record> + Sync,
-    {
+    /// measurement failure (see [`Plan::records`]).
+    pub fn run_with(&self, opts: &RunOptions) -> Result<Vec<Record>> {
         self.validate()?;
         let cells: Vec<MeasurementConfig> = self.cells().collect();
-        exec::run_cell_chunked(
-            cells.len(),
-            self.reps,
-            self.reps,
-            opts,
-            |_, _, _| Ok(()),
-            |(), i| {
-                #[expect(clippy::indexing_slicing, reason = "i < cells.len() * reps by dispenser")]
-                let cell = &cells[i / self.reps];
-                let rep = i % self.reps;
-                let seed = per_run_seed(self.base_seed, cell, rep);
-                let cfg = MeasurementConfig { seed, ..*cell };
-                measure(&cfg, self.benchmark)
-            },
-        )
-    }
-
-    /// A session for `cell` with the seed of repetition `rep` (so a boot
-    /// is armed for that repetition's run), re-targeting `prev` when it
-    /// runs the same stack.
-    fn session_for(
-        &self,
-        prev: Option<MeasurementSession>,
-        cell: &MeasurementConfig,
-        rep: usize,
-    ) -> Result<MeasurementSession> {
-        let seed = per_run_seed(self.base_seed, cell, rep);
-        MeasurementSession::reuse(prev, &MeasurementConfig { seed, ..*cell }, self.benchmark)
-    }
-
-    /// [`Grid::session_for`] honoring [`Grid::fresh_boot`]: with it set
-    /// there is no session, and [`Grid::measure`] boots per run.
-    fn boot(
-        &self,
-        prev: Option<MeasurementSession>,
-        cell: &MeasurementConfig,
-        rep: usize,
-    ) -> Result<Option<MeasurementSession>> {
-        if self.fresh_boot {
-            return Ok(None);
-        }
-        self.session_for(prev, cell, rep).map(Some)
-    }
-
-    /// Runs repetition `rep` of `cell` on `session`, or on a fresh boot
-    /// when there is none.
-    fn measure(
-        &self,
-        session: Option<&mut MeasurementSession>,
-        cell: &MeasurementConfig,
-        rep: usize,
-    ) -> Result<Record> {
-        let seed = per_run_seed(self.base_seed, cell, rep);
-        match session {
-            Some(session) => session.run(seed),
-            None => run_measurement(&MeasurementConfig { seed, ..*cell }, self.benchmark),
-        }
+        let plan = self.plan(&cells);
+        plan.records(opts)
     }
 
     /// Runs **one** cell's repetitions, in repetition order, honoring
-    /// [`Grid::fresh_boot`]. The records are exactly the slice of
-    /// [`Grid::run_with`]'s output belonging to this cell — this is the
-    /// unit of work countd computes and caches per cell key, and the
-    /// per-cell/whole-grid identity is pinned by a unit test.
+    /// [`Grid::fresh_boot`]: a one-cell plan on one worker. The records are
+    /// exactly the slice of [`Grid::run_with`]'s output belonging to this
+    /// cell — this is the unit of work countd computes and caches per cell
+    /// key, and the per-cell/whole-grid identity is pinned by a unit test.
     ///
     /// `cell` should come from [`Grid::cells`] (its `seed` field is
     /// ignored; per-repetition seeds derive from [`Grid::base_seed`]).
@@ -325,15 +255,7 @@ impl Grid {
         if cell.counters == 0 {
             return Err(crate::CoreError::ZeroCounters);
         }
-        let mut records = Vec::with_capacity(self.reps);
-        if self.reps == 0 {
-            return Ok(records);
-        }
-        let mut session = self.boot(None, cell, 0)?;
-        for rep in 0..self.reps {
-            records.push(self.measure(session.as_mut(), cell, rep)?);
-        }
-        Ok(records)
+        self.plan(std::slice::from_ref(cell)).records(&RunOptions::sequential())
     }
 
     /// Streams the whole grid into **one accumulator per cell** instead of
@@ -357,7 +279,7 @@ impl Grid {
     /// cell, the first failing repetition aborts that cell.
     pub fn run_fold<A, I, S>(
         &self,
-        opts: &RunOptions<'_>,
+        opts: &RunOptions,
         init: I,
         step: S,
     ) -> Result<Vec<(MeasurementConfig, A)>>
@@ -367,63 +289,9 @@ impl Grid {
         S: Fn(&mut A, &Record) + Sync,
     {
         self.validate()?;
-        if self.fresh_boot {
-            return self.run_fold_with_measure(opts, init, step, run_measurement);
-        }
         let cells: Vec<MeasurementConfig> = self.cells().collect();
-        #[expect(clippy::indexing_slicing, reason = "the engine dispenses ci < cells.len()")]
-        let accs = exec::run_cell_chunked(
-            cells.len(),
-            1,
-            1,
-            opts,
-            |prev, ci, _| self.session_for(prev, &cells[ci], 0),
-            |session, ci| {
-                let cell = &cells[ci];
-                let mut acc = init(cell);
-                for rep in 0..self.reps {
-                    let record = session.run(per_run_seed(self.base_seed, cell, rep))?;
-                    step(&mut acc, &record);
-                }
-                Ok(acc)
-            },
-        )?;
-        Ok(cells.into_iter().zip(accs).collect())
-    }
-
-    /// [`Grid::run_fold`] with an injectable measurement function (the
-    /// same seam as [`Grid::run_with_measure`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Grid::run_fold`].
-    pub fn run_fold_with_measure<A, I, S, F>(
-        &self,
-        opts: &RunOptions<'_>,
-        init: I,
-        step: S,
-        measure: F,
-    ) -> Result<Vec<(MeasurementConfig, A)>>
-    where
-        A: Send,
-        I: Fn(&MeasurementConfig) -> A + Sync,
-        S: Fn(&mut A, &Record) + Sync,
-        F: Fn(&MeasurementConfig, Benchmark) -> Result<Record> + Sync,
-    {
-        self.validate()?;
-        let cells: Vec<MeasurementConfig> = self.cells().collect();
-        let accs = exec::run_indexed(cells.len(), opts, |ci| {
-            #[expect(clippy::indexing_slicing, reason = "the engine dispenses ci < cells.len()")]
-            let cell = &cells[ci];
-            let mut acc = init(cell);
-            for rep in 0..self.reps {
-                let seed = per_run_seed(self.base_seed, cell, rep);
-                let cfg = MeasurementConfig { seed, ..*cell };
-                let record = measure(&cfg, self.benchmark)?;
-                step(&mut acc, &record);
-            }
-            Ok(acc)
-        })?;
+        #[expect(clippy::indexing_slicing, reason = "the runner folds cells < cells.len()")]
+        let accs = self.plan(&cells).fold(opts, |c| init(&cells[c]), step)?;
         Ok(cells.into_iter().zip(accs).collect())
     }
 
@@ -436,7 +304,7 @@ impl Grid {
     ///
     /// Propagates measurement failures; [`crate::CoreError::NoData`] if
     /// `reps == 0`.
-    pub fn run_summaries(&self, opts: &RunOptions<'_>) -> Result<Vec<CellSummary>> {
+    pub fn run_summaries(&self, opts: &RunOptions) -> Result<Vec<CellSummary>> {
         if self.reps == 0 {
             return Err(crate::CoreError::NoData("grid with zero reps"));
         }
@@ -460,9 +328,10 @@ impl Grid {
     /// Streams the grid's records straight into CSV lines, in the exact
     /// byte order of
     /// [`records_to_csv`](crate::report::records_to_csv)`(`[`Grid::run_with`]`)`,
-    /// holding only a bounded batch of cells' records in memory: `repro
-    /// csv` writes the whole grid at `O(1)` memory in the record count.
-    /// [`Grid::fresh_boot`] runs the same loop with one boot per run.
+    /// holding only a bounded batch of cells' records in memory
+    /// ([`Plan::stream`]): `repro csv` writes the whole grid at `O(1)`
+    /// memory in the record count. [`Grid::fresh_boot`] runs the same
+    /// loop with one boot per run.
     ///
     /// The sink contract: `sink` is called once with
     /// [`CSV_HEADER`](crate::report::CSV_HEADER), then once per record in
@@ -475,57 +344,20 @@ impl Grid {
     /// # Errors
     ///
     /// Propagates the lowest-index measurement failure.
-    pub fn run_csv<S>(&self, opts: &RunOptions<'_>, mut sink: S) -> Result<usize>
+    pub fn run_csv<S>(&self, opts: &RunOptions, mut sink: S) -> Result<usize>
     where
         S: FnMut(&str),
     {
         self.validate()?;
         let cells: Vec<MeasurementConfig> = self.cells().collect();
-        let total = cells.len() * self.reps;
         sink(crate::report::CSV_HEADER);
-        let mut written = 0usize;
         let mut line = String::with_capacity(crate::report::LINE_CAPACITY);
-        let mut emit = |record: &Record| {
+        let plan = self.plan(&cells);
+        plan.stream(opts, |record| {
             line.clear();
             crate::report::write_csv_line(&mut line, record);
             sink(&line);
-        };
-        // Bounded batches of whole cells, each cell run on one worker's
-        // session (none under `fresh_boot`), the sessions carried from
-        // batch to batch. Lines reach the sink in the exact flat order of
-        // the batch path, holding at most one batch of
-        // `CSV_CELL_BATCH × reps` records in memory.
-        let mut sessions = Vec::new();
-        let mut start = 0usize;
-        while start < cells.len() {
-            let len = CSV_CELL_BATCH.min(cells.len() - start);
-            #[expect(clippy::indexing_slicing, reason = "batch length is clamped to len - start")]
-            let records = exec::run_cell_chunked_from(
-                &mut sessions,
-                len,
-                self.reps,
-                self.reps,
-                &RunOptions {
-                    jobs: opts.effective_jobs(total),
-                    progress: None,
-                },
-                |prev, c, first_rep| self.boot(prev.flatten(), &cells[start + c], first_rep),
-                |session, i| {
-                    #[expect(clippy::indexing_slicing, reason = "i ranges over the clamped batch")]
-                    let cell = &cells[start + i / self.reps];
-                    self.measure(session.as_mut(), cell, i % self.reps)
-                },
-            )?;
-            for record in &records {
-                written += 1;
-                emit(record);
-                if let Some(progress) = opts.progress {
-                    progress(written, total);
-                }
-            }
-            start += len;
-        }
-        Ok(written)
+        })
     }
 }
 
@@ -541,11 +373,6 @@ pub struct CellSummary {
     /// merging these in cell order for deterministic group summaries).
     pub accumulator: SummaryAccumulator,
 }
-
-/// Cells per batch of [`Grid::run_csv`]: memory stays
-/// bounded at `CSV_CELL_BATCH × reps` records while each batch still
-/// feeds every worker.
-const CSV_CELL_BATCH: usize = 256;
 
 /// Deterministic per-run seed from the base seed, the cell's identity and
 /// the repetition index (a [`counterlab_cpu::hash::seed_combine`] chain —
@@ -676,7 +503,7 @@ mod tests {
         g.interfaces = vec![Interface::Pm, Interface::PLpc];
         g.patterns = Pattern::ALL.to_vec();
         g.reps = 3;
-        let fold = |opts: &RunOptions<'_>| {
+        let fold = |opts: &RunOptions| {
             g.run_fold(opts, |_| Vec::new(), |acc: &mut Vec<i64>, r| acc.push(r.error()))
                 .unwrap()
         };

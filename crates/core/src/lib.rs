@@ -16,7 +16,8 @@
 //!   (`pm`, `pc`, `PLpm`, `PLpc`, `PHpm`, `PHpc`; Figure 2);
 //! * [`config`], [`measure`], [`grid`] — the measurement harness and the
 //!   factorial experiment runner (§3.6);
-//! * [`exec`] — the parallel execution engine behind every sweep
+//! * [`sweep`], [`exec`] — the one sweep runner every measurement sweep
+//!   hands its cell plan to, and the parallel engine under it
 //!   (deterministic results at any worker count);
 //! * [`experiments`] — a generator for **every table and figure** in the
 //!   paper's evaluation;
@@ -74,6 +75,7 @@ pub mod measure;
 pub mod pattern;
 pub mod report;
 pub mod serve;
+pub mod sweep;
 pub mod tools;
 pub mod wire;
 

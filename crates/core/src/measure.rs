@@ -8,13 +8,16 @@
 //! Two entry points produce bit-identical records:
 //!
 //! * [`run_measurement`] — boots a fresh simulated stack for one run: the
-//!   historical path, kept as the equivalence oracle;
+//!   historical path, kept as the equivalence oracle (the sweep runner's
+//!   per-run switch, [`Plan::measure`](crate::sweep::Plan::measure),
+//!   selects it);
 //! * [`MeasurementSession`] — validates a cell and boots its stack, then
 //!   runs any number of seeded repetitions against that stack via the
 //!   reseed path, with the placement, event selection and kernel template
 //!   hoisted out of the per-repetition loop. [`MeasurementSession::reuse`]
 //!   re-targets a finished session to the next cell when both run on the
-//!   same processor × interface, so the engine boots **once per stack per
+//!   same processor × interface, so the sweep runner ([`crate::sweep`],
+//!   the only caller a clippy rule allows) boots **once per stack per
 //!   worker**, not once per cell: cells of the paper's 170 000-measurement
 //!   sweep differ only in factors the reseed path already restores, so
 //!   paying the full boot per cell (or per repetition) was pure overhead.
@@ -185,6 +188,7 @@ impl MeasurementSession {
     /// * [`crate::CoreError::InvalidConfig`] when the processor lacks the
     ///   requested number of counters;
     /// * substrate boot errors propagate.
+    #[expect(clippy::disallowed_methods, reason = "a new session is a re-target of none")]
     pub fn new(config: &MeasurementConfig, benchmark: Benchmark) -> Result<Self> {
         Self::reuse(None, config, benchmark)
     }
@@ -344,10 +348,10 @@ impl MeasurementSession {
 /// Runs one measurement on a freshly booted stack and returns its record.
 ///
 /// This is the fresh-boot path — one complete simulated stack per call,
-/// exactly as the paper ran one process per measurement. The grid engine
-/// reuses one [`MeasurementSession`] per stack instead; this function remains
-/// the equivalence oracle the session path is verified against (see
-/// `Grid::fresh_boot`).
+/// exactly as the paper ran one process per measurement. The sweep runner
+/// reuses one [`MeasurementSession`] per stack instead; this function
+/// remains the equivalence oracle the session path is verified against
+/// (see `Grid::fresh_boot` and [`Plan::measure`](crate::sweep::Plan::measure)).
 ///
 /// # Errors
 ///

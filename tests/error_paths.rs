@@ -1,15 +1,16 @@
-//! Error-path coverage for the execution engine's contract: the
+//! Error-path coverage for the sweep runner's contract: the
 //! [`CoreError::CounterWentBackwards`] failure introduced at the measure
-//! layer must propagate unchanged through [`Grid::run_with`] *and* the
+//! layer must propagate unchanged through the record path *and* the
 //! per-cell fold path, and at any worker count the error that surfaces
 //! is the one with the **lowest index** (cell-enumeration × repetition
-//! order for the record engine, cell order for the fold engine) — never
-//! whichever worker happened to fail first on the wall clock.
+//! order for records, cell order for folds) — never whichever worker
+//! happened to fail first on the wall clock.
 //!
-//! The injection goes through the grids' `*_with_measure` seams, so the
-//! real plumbing — cell enumeration, per-run seeding, the engine's stop
-//! flag, drain, and min-index reduction — is what's under test; only the
-//! innermost measurement call is replaced.
+//! The injection goes through the runner's one per-run switch,
+//! [`Plan::measure`] — the switch [`Grid::fresh_boot`] sets — on the
+//! grid's own plan, so the real plumbing — cell enumeration, per-run
+//! seeding, the engine's stop flag, drain, and min-index reduction — is
+//! what's under test; only the innermost measurement call is replaced.
 
 use counterlab::benchmark::Benchmark;
 use counterlab::config::MeasurementConfig;
@@ -18,6 +19,7 @@ use counterlab::grid::Grid;
 use counterlab::interface::{CountingMode, Interface};
 use counterlab::measure::run_measurement;
 use counterlab::pattern::Pattern;
+use counterlab::sweep::Plan;
 use counterlab::CoreError;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -65,12 +67,13 @@ fn backwards_counter_propagates_through_run_with() {
     // surface the variant unchanged (not wrapped, not swallowed) at any
     // worker count.
     let g = test_grid();
+    let cells: Vec<MeasurementConfig> = g.cells().collect();
     for jobs in [1, 2, 4, 8] {
-        let err = g
-            .run_with_measure(&RunOptions::with_jobs(jobs), |_, _| {
-                Err(backwards_at(0))
-            })
-            .unwrap_err();
+        let plan = Plan {
+            measure: Some(&|_: &MeasurementConfig, _| Err(backwards_at(0))),
+            ..g.plan(&cells)
+        };
+        let err = plan.records(&RunOptions::with_jobs(jobs)).unwrap_err();
         assert!(
             matches!(err, CoreError::CounterWentBackwards { .. }),
             "jobs = {jobs}: {err}"
@@ -79,7 +82,7 @@ fn backwards_counter_propagates_through_run_with() {
 }
 
 #[test]
-fn lowest_run_index_wins_in_run_with_measure() {
+fn lowest_run_index_wins_in_record_path() {
     // Fail every run whose per-cell call order puts it at overall label
     // 23 or later. Labels within a cell are a permutation of that cell's
     // engine indices (reps of one cell may be claimed by racing workers),
@@ -92,18 +95,21 @@ fn lowest_run_index_wins_in_run_with_measure() {
     for jobs in [1, 2, 4, 8] {
         let calls_per_cell: Vec<AtomicUsize> =
             (0..cells.len()).map(|_| AtomicUsize::new(0)).collect();
-        let err = g
-            .run_with_measure(&RunOptions::with_jobs(jobs), |cfg, benchmark| {
-                let record = run_measurement(cfg, benchmark)?;
-                let ci = cell_index_of(&cells, cfg);
-                let call = calls_per_cell[ci].fetch_add(1, Ordering::Relaxed);
-                let label = ci * reps + call;
-                if label >= 23 {
-                    return Err(backwards_at(label));
-                }
-                Ok(record)
-            })
-            .unwrap_err();
+        let measure = |cfg: &MeasurementConfig, benchmark| {
+            let record = run_measurement(cfg, benchmark)?;
+            let ci = cell_index_of(&cells, cfg);
+            let call = calls_per_cell[ci].fetch_add(1, Ordering::Relaxed);
+            let label = ci * reps + call;
+            if label >= 23 {
+                return Err(backwards_at(label));
+            }
+            Ok(record)
+        };
+        let plan = Plan {
+            measure: Some(&measure),
+            ..g.plan(&cells)
+        };
+        let err = plan.records(&RunOptions::with_jobs(jobs)).unwrap_err();
         match err {
             CoreError::CounterWentBackwards { first, .. } => {
                 assert_eq!(first, 23, "jobs = {jobs}: wrong failure won");
@@ -116,28 +122,28 @@ fn lowest_run_index_wins_in_run_with_measure() {
 #[test]
 fn lowest_cell_wins_in_fold_path() {
     let g = test_grid();
-    assert!(g.cell_count() > 10);
+    let cells: Vec<MeasurementConfig> = g.cells().collect();
+    assert!(cells.len() > 10);
+    // Fail every read-read cell; the runner must report the lowest *cell*
+    // index's error — the first rr cell in enumeration order, which
+    // belongs to the first interface (pm).
+    let measure = |cfg: &MeasurementConfig, benchmark| {
+        if cfg.pattern == Pattern::ReadRead {
+            return Err(CoreError::CounterWentBackwards {
+                pattern: cfg.pattern.code(),
+                first: cfg.interface as u64,
+                second: 0,
+            });
+        }
+        run_measurement(cfg, benchmark)
+    };
     for jobs in [1, 2, 4, 8] {
-        let err = g
-            .run_fold_with_measure(
-                &RunOptions::with_jobs(jobs),
-                |_| 0u64,
-                |acc, _| *acc += 1,
-                |cfg, benchmark| {
-                    // Fail every read-read cell; the engine must report
-                    // the lowest *cell* index's error — the first rr cell
-                    // in enumeration order, which belongs to the first
-                    // interface (pm).
-                    if cfg.pattern == Pattern::ReadRead {
-                        return Err(CoreError::CounterWentBackwards {
-                            pattern: cfg.pattern.code(),
-                            first: cfg.interface as u64,
-                            second: 0,
-                        });
-                    }
-                    run_measurement(cfg, benchmark)
-                },
-            )
+        let plan = Plan {
+            measure: Some(&measure),
+            ..g.plan(&cells)
+        };
+        let err = plan
+            .fold(&RunOptions::with_jobs(jobs), |_| 0u64, |acc, _| *acc += 1)
             .unwrap_err();
         match err {
             CoreError::CounterWentBackwards { pattern, first, .. } => {
@@ -155,20 +161,21 @@ fn fold_aborts_cell_on_first_failing_rep() {
     // running (the cell is one work item; its loop stops at the error).
     let mut g = Grid::new(Benchmark::Null);
     g.reps = 5;
+    let cells: Vec<MeasurementConfig> = g.cells().collect();
     let calls = AtomicUsize::new(0);
-    let err = g
-        .run_fold_with_measure(
-            &RunOptions::sequential(),
-            |_| (),
-            |(), _| (),
-            |cfg, benchmark| {
-                let n = calls.fetch_add(1, Ordering::Relaxed);
-                if n == 2 {
-                    return Err(backwards_at(n));
-                }
-                run_measurement(cfg, benchmark)
-            },
-        )
+    let measure = |cfg: &MeasurementConfig, benchmark| {
+        let n = calls.fetch_add(1, Ordering::Relaxed);
+        if n == 2 {
+            return Err(backwards_at(n));
+        }
+        run_measurement(cfg, benchmark)
+    };
+    let plan = Plan {
+        measure: Some(&measure),
+        ..g.plan(&cells)
+    };
+    let err = plan
+        .fold(&RunOptions::sequential(), |_| (), |(), _| ())
         .unwrap_err();
     assert!(matches!(err, CoreError::CounterWentBackwards { .. }));
     assert_eq!(
@@ -179,6 +186,7 @@ fn fold_aborts_cell_on_first_failing_rep() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "the engine's own contract, below the runner")]
 fn exec_fold_reports_lowest_index_backwards_error() {
     // Pure-engine form of the same guarantee on the one cell engine, with
     // ragged blocks (10 reps in blocks of 3): scattered

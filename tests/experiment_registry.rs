@@ -36,14 +36,14 @@ const DOCUMENTED_IDS: [&str; 19] = [
     "csv",
 ];
 
-fn smoke_ctx(mode: EngineMode, jobs: usize) -> ExperimentCtx<'static> {
+fn smoke_ctx(mode: EngineMode, jobs: usize) -> ExperimentCtx {
     ExperimentCtx::new(Scale::quick())
         .with_opts(RunOptions::with_jobs(jobs))
         .with_mode(mode)
 }
 
 /// Runs `exp` under `ctx` and collects its artifacts.
-fn run_into_sink(exp: &dyn Experiment, ctx: &ExperimentCtx<'_>) -> MemorySink {
+fn run_into_sink(exp: &dyn Experiment, ctx: &ExperimentCtx) -> MemorySink {
     let id = exp.id();
     let mut sink = MemorySink::new();
     exp.run(ctx)

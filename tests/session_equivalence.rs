@@ -220,6 +220,7 @@ proptest! {
     /// run), and every invalid cell the very error
     /// `MeasurementSession::new` gives it.
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "pins `reuse` itself, below the sweep runner")]
     fn reuse_chain_matches_fresh_boots(
         home in 0usize..18,
         cells in proptest::collection::vec((arb_cell(), 0usize..4), 1..10),

@@ -108,6 +108,7 @@ fn every_stack_runs_allocation_free_after_its_first_run() {
 /// Re-targeting a session to another cell of the same stack, and that
 /// cell's first run, allocate nothing.
 #[test]
+#[expect(clippy::disallowed_methods, reason = "pins `reuse` itself, below the sweep runner")]
 fn same_stack_reuse_allocates_nothing() {
     for processor in PROCESSORS {
         for interface in Interface::ALL {
