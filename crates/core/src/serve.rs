@@ -342,7 +342,9 @@ fn parse_disk_entry(raw: &str) -> Option<&str> {
 /// Startup recovery scan: moves orphaned `tmp` files (left by a writer
 /// that died between write and rename) and entries failing their
 /// header/checksum verification into `quarantine/`, returning how many
-/// files were moved. Quarantined files are kept for post-mortems but
+/// files were moved. A temp file whose writer is alive — a peer countd
+/// sharing the directory, mid write — is left alone
+/// ([`live_writer`]). Quarantined files are kept for post-mortems but
 /// never served and never rescanned. Every step is best-effort: recovery
 /// may degrade to doing nothing, because the read path re-verifies every
 /// entry's checksum anyway — the scan exists so a crash's debris is
@@ -362,7 +364,7 @@ fn recover_cache_dir(dir: &Path) -> u64 {
         let Some(name) = name.to_str() else {
             continue;
         };
-        let orphan = name.contains(".tmp.");
+        let orphan = name.contains(".tmp.") && !live_writer(name);
         let poisoned = name.ends_with(".cell")
             && std::fs::read_to_string(&path)
                 .ok()
@@ -379,6 +381,20 @@ fn recover_cache_dir(dir: &Path) -> u64 {
         }
     }
     moved
+}
+
+/// Whether `name` is a `<key>.tmp.<pid>.<seq>` temp file (pid and seq in
+/// hex, as `disk_write` names them) whose writer is a live process. Only
+/// Linux can tell, through `/proc/<pid>`; elsewhere, and for any other
+/// name, it is not.
+fn live_writer(name: &str) -> bool {
+    let parts: Vec<&str> = name.split('.').collect();
+    let [_, "tmp", pid, seq] = parts.as_slice() else {
+        return false;
+    };
+    cfg!(target_os = "linux")
+        && u64::from_str_radix(seq, 16).is_ok()
+        && u32::from_str_radix(pid, 16).is_ok_and(|pid| Path::new(&format!("/proc/{pid}")).exists())
 }
 
 // ---------------------------------------------------------------------------
@@ -1447,6 +1463,31 @@ mod tests {
                 .exists(),
             "orphan kept for post-mortems"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A peer countd sharing the directory may be between its write and
+    /// its rename: a temp file named for a live pid survives the scan,
+    /// one named for a dead pid does not.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn recovery_scan_spares_a_live_writers_tmp_file() {
+        let dir = std::env::temp_dir().join(format!("countd-recover-live-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let name = format!("{:016x}.tmp.{:x}.{:x}", 0xABCu64, std::process::id(), 7);
+        std::fs::write(dir.join(&name), "mid-write").unwrap();
+        // Above Linux's largest pid (2^22), so no process has it.
+        let dead = format!("{:016x}.tmp.{:x}.{:x}", 0xABCu64, 1u32 << 23, 7);
+        std::fs::write(dir.join(&dead), "half-written").unwrap();
+        let cache = CellCache::new(CacheConfig {
+            dir: Some(dir.clone()),
+            ..CacheConfig::default()
+        })
+        .unwrap();
+        assert_eq!(cache.quarantined(), 1, "only the dead writer's file is counted");
+        assert!(dir.join(&name).exists(), "a live writer's file stays in place");
+        assert!(dir.join("quarantine").join(&dead).exists(), "a dead writer's file is moved");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
