@@ -12,9 +12,9 @@
 //!
 //! The sweep runs on measurement sessions; its fresh-boot oracle
 //! ([`run_streaming_with`]) hands the same plan to the same runner, with
-//! one boot per run instead. The rendered table
-//! and the raw-record CSV are byte-identical across the two, any job
-//! count and `--stream` (pinned by `tests/golden_workload_csv.rs`).
+//! one boot per run instead. The rendered table and the raw-record CSV
+//! are byte-identical across the two, any job count and `--stream`
+//! (pinned by `tests/golden_workload_csv.rs`).
 
 use counterlab_cpu::hash::seed_combine;
 use counterlab_cpu::pmu::Event;

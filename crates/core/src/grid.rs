@@ -196,9 +196,10 @@ impl Grid {
 
     /// The grid's sweep plan over `cells`, which should come from
     /// [`Grid::cells`]: each run seeded from [`Grid::base_seed`], the cell
-    /// and the repetition; every cell one block, so all its repetitions run
-    /// on one worker's [`MeasurementSession`](crate::measure::MeasurementSession); and, under
-    /// [`Grid::fresh_boot`], one [`run_measurement`] boot per run.
+    /// and the repetition; every cell one block, so all its repetitions
+    /// run on one worker's
+    /// [`MeasurementSession`](crate::measure::MeasurementSession); and,
+    /// under [`Grid::fresh_boot`], one [`run_measurement`] boot per run.
     pub fn plan<'a>(
         &'a self,
         cells: &'a [MeasurementConfig],

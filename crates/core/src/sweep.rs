@@ -77,7 +77,7 @@ pub struct Plan<'a, C, S> {
     pub measure: Option<Measure<'a>>,
 }
 
-#[expect(clippy::disallowed_methods, reason = "the one runner that rule sends sweeps to")]
+#[expect(clippy::disallowed_methods, reason = "this is the runner the rule sends sweeps to")]
 impl<C: CellFn, S: SeedFn> Plan<'_, C, S> {
     /// A plan whose runs go through sessions.
     pub fn new(cells: usize, reps: usize, block: usize, cell: C, seed: S) -> Self {
@@ -120,8 +120,9 @@ impl<C: CellFn, S: SeedFn> Plan<'_, C, S> {
     }
 
     /// Hands every record to `each` in plan order, holding at most one
-    /// batch of `STREAM_CELL_BATCH` (256) cells' records; the workers' sessions
-    /// carry over from batch to batch. Returns the number of records.
+    /// batch of `STREAM_CELL_BATCH` (256) cells' records; the workers'
+    /// sessions carry over from batch to batch. Returns the number of
+    /// records.
     ///
     /// # Errors
     ///
