@@ -112,6 +112,10 @@ struct MemTier {
     /// deterministic across processes — `HashMap`'s per-process
     /// `RandomState` would make stamp ties break differently run to run.
     map: BTreeMap<u64, MemEntry>,
+    /// LRU order: each resident entry's stamp to its key. Stamps are
+    /// unique (every clock tick stamps at most one entry), so the first
+    /// entry is the least recently used one.
+    lru: BTreeMap<u64, u64>,
     bytes: usize,
     clock: u64,
 }
@@ -187,9 +191,12 @@ impl CellCache {
             mem.clock += 1;
             let clock = mem.clock;
             if let Some(entry) = mem.map.get_mut(&key) {
-                entry.stamp = clock;
+                let old = std::mem::replace(&mut entry.stamp, clock);
+                let payload = Arc::clone(&entry.payload);
+                mem.lru.remove(&old);
+                mem.lru.insert(clock, key);
                 self.hits.incr();
-                return Some(Arc::clone(&entry.payload));
+                return Some(payload);
             }
         }
         if let Some(payload) = self.disk_read(key) {
@@ -215,31 +222,34 @@ impl CellCache {
         let stamp = mem.clock;
         if let Some(old) = mem.map.insert(key, MemEntry { payload: Arc::clone(&payload), stamp }) {
             mem.bytes -= old.payload.len();
+            mem.lru.remove(&old.stamp);
         }
+        mem.lru.insert(stamp, key);
         mem.bytes += payload.len();
         // Evict least-recently-used entries until back under both caps.
         // (But never the entry just inserted, even if it alone exceeds
         // the byte cap — a cache that refuses oversized results would
         // silently degrade to recompute-always for big cells.)
         //
-        // Victim choice is fully deterministic: smallest stamp wins, and
-        // `min_by_key` keeps the *first* minimum of the BTreeMap's
-        // key-ascending iteration, so stamp ties break toward the
-        // smallest key — identical eviction pressure always leaves an
-        // identical resident set.
+        // Victim choice is fully deterministic: the smallest stamp wins,
+        // read off the front of the `lru` index in O(log n). Stamps are
+        // unique, so there are no ties to break — identical eviction
+        // pressure always leaves an identical resident set.
         while mem.map.len() > self.config.max_entries.max(1)
             || (mem.bytes > self.config.max_bytes && mem.map.len() > 1)
         {
-            let victim = mem
-                .map
+            let Some((victim_stamp, victim)) = mem
+                .lru
                 .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k);
-            let Some(evicted) = victim.and_then(|k| mem.map.remove(&k)) else {
+                .find(|(_, k)| **k != key)
+                .map(|(s, k)| (*s, *k))
+            else {
                 break;
             };
-            mem.bytes -= evicted.payload.len();
+            mem.lru.remove(&victim_stamp);
+            if let Some(evicted) = mem.map.remove(&victim) {
+                mem.bytes -= evicted.payload.len();
+            }
         }
     }
 
@@ -1344,6 +1354,70 @@ mod tests {
         assert_eq!(first, second, "identical pressure, identical survivors");
         assert_eq!(first.len(), 4);
         assert!(first.contains(&90), "newest entry always survives");
+    }
+
+    /// The `lru` side index picks exactly the victims the whole-map
+    /// `min_by_key` scan it replaced picked: a seeded mix of puts,
+    /// re-puts and gets under both caps, replayed against a model that
+    /// still scans, leaves the same resident set after every step.
+    #[test]
+    fn cache_lru_index_matches_the_linear_scan() {
+        use counterlab_cpu::hash::splitmix64;
+
+        /// The pre-index eviction rule, verbatim: key → (stamp, bytes).
+        #[derive(Default)]
+        struct ScanModel {
+            map: BTreeMap<u64, (u64, usize)>,
+            bytes: usize,
+            clock: u64,
+        }
+        impl ScanModel {
+            fn get(&mut self, key: u64) {
+                self.clock += 1;
+                if let Some(e) = self.map.get_mut(&key) {
+                    e.0 = self.clock;
+                }
+            }
+            fn put(&mut self, key: u64, len: usize, max_entries: usize, max_bytes: usize) {
+                self.clock += 1;
+                if let Some((_, old)) = self.map.insert(key, (self.clock, len)) {
+                    self.bytes -= old;
+                }
+                self.bytes += len;
+                while self.map.len() > max_entries
+                    || (self.bytes > max_bytes && self.map.len() > 1)
+                {
+                    let victim = self
+                        .map
+                        .iter()
+                        .filter(|(k, _)| **k != key)
+                        .min_by_key(|(_, e)| e.0)
+                        .map(|(k, _)| *k)
+                        .unwrap();
+                    self.bytes -= self.map.remove(&victim).unwrap().1;
+                }
+            }
+        }
+
+        let (max_entries, max_bytes) = (16, 400);
+        let cache = CellCache::new(CacheConfig { max_entries, max_bytes, dir: None }).unwrap();
+        let mut model = ScanModel::default();
+        let mut x = 0x5EED_u64;
+        for step in 0..4000 {
+            x = splitmix64(x);
+            let key = x % 40;
+            if x >> 60 < 9 {
+                let len = 1 + usize::try_from((x >> 8) % 60).unwrap();
+                cache.put(key, Arc::new("p".repeat(len)));
+                model.put(key, len, max_entries, max_bytes);
+            } else {
+                cache.get(key);
+                model.get(key);
+            }
+            let model_keys: Vec<u64> = model.map.keys().copied().collect();
+            assert_eq!(cache.mem_keys(), model_keys, "step {step}");
+            assert_eq!(cache.mem_bytes(), model.bytes, "step {step}");
+        }
     }
 
     #[test]

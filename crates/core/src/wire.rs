@@ -229,15 +229,25 @@ pub fn encode_record_into(out: &mut String, record: &Record) {
 /// field.
 pub fn decode_record(line: &str) -> Result<Record> {
     let line = line.trim_end_matches('\n');
-    let fields: Vec<&str> = line.split(',').collect();
-    let &[processor, interface, pattern, opt_level, counters, tsc, mode, event, seed, hz, bench, bench_iters, measured, expected] =
-        fields.as_slice()
-    else {
+    // The fields land in a stack array, not a `Vec`. A closure pattern,
+    // because `split(',')`'s memchr-based searcher costs more than the
+    // parsing on fields this short.
+    let comma = |c: char| c == ',';
+    let mut fields = [""; 14];
+    let mut count = 0;
+    for field in line.split(comma) {
+        if let Some(slot) = fields.get_mut(count) {
+            *slot = field;
+        }
+        count += 1;
+    }
+    if count != fields.len() {
         return Err(proto(format!(
-            "record line has {} fields, expected 14: {line:?}",
-            fields.len()
+            "record line has {count} fields, expected 14: {line:?}"
         )));
-    };
+    }
+    let [processor, interface, pattern, opt_level, counters, tsc, mode, event, seed, hz, bench, bench_iters, measured, expected] =
+        fields;
     let config = MeasurementConfig {
         processor: parse_processor(processor)?,
         interface: parse_interface(interface)?,
@@ -274,9 +284,11 @@ fn parse_pattern(code: &str) -> Result<Pattern> {
 }
 
 fn parse_opt_level(digit: &str) -> Result<OptLevel> {
+    // The encoder writes one decimal digit; compare numerically rather
+    // than formatting every level.
     OptLevel::ALL
         .into_iter()
-        .find(|o| o.level().to_string() == digit)
+        .find(|o| digit.len() == 1 && digit.parse() == Ok(o.level()))
         .ok_or_else(|| proto(format!("unknown optimization level {digit:?}")))
 }
 
@@ -446,24 +458,10 @@ pub fn cell_identity(
     base_seed: u64,
     fresh_boot: bool,
 ) -> String {
-    format!(
-        "cell/1 proc={} iface={} pattern={} opt={} counters={} tsc={} mode={} event={} hz={} \
-         bench={}:{} reps={} base_seed={} boot={}",
-        cell.processor.code(),
-        cell.interface.code(),
-        cell.pattern.code(),
-        cell.opt_level.level(),
-        cell.counters,
-        u8::from(cell.tsc_on),
-        cell.mode.label(),
-        cell.event.name(),
-        cell.hz,
-        benchmark.name(),
-        benchmark.iterations(),
-        reps,
-        base_seed,
-        if fresh_boot { "fresh" } else { "session" },
-    )
+    let mut text = String::new();
+    // Writing into a `String` cannot fail.
+    let _ = write_cell_identity(&mut text, cell, benchmark, reps, base_seed, fresh_boot);
+    text
 }
 
 /// The content-addressed cache key: [`StreamHasher`] over
@@ -477,8 +475,49 @@ pub fn cell_key(
     fresh_boot: bool,
 ) -> u64 {
     let mut h = StreamHasher::new(CELL_KEY_SEED);
-    h.write_str(&cell_identity(cell, benchmark, reps, base_seed, fresh_boot));
+    // The identity text streams into the hasher, never built as a string;
+    // hashing cannot fail.
+    let _ = write_cell_identity(&mut h, cell, benchmark, reps, base_seed, fresh_boot);
     h.finish()
+}
+
+/// The one definition of the [`cell_identity`] text, written to `out`
+/// piece by piece without `core::fmt` (whose per-argument cost was most
+/// of a key).
+fn write_cell_identity<W: std::fmt::Write>(
+    out: &mut W,
+    cell: &MeasurementConfig,
+    benchmark: Benchmark,
+    reps: usize,
+    base_seed: u64,
+    fresh_boot: bool,
+) -> std::fmt::Result {
+    let num = |out: &mut W, n: u64| report::with_decimal(n, |digits| out.write_str(digits));
+    out.write_str("cell/1 proc=")?;
+    out.write_str(cell.processor.code())?;
+    out.write_str(" iface=")?;
+    out.write_str(cell.interface.code())?;
+    out.write_str(" pattern=")?;
+    out.write_str(cell.pattern.code())?;
+    out.write_str(" opt=")?;
+    num(out, cell.opt_level.level())?;
+    out.write_str(" counters=")?;
+    num(out, cell.counters as u64)?;
+    out.write_str(if cell.tsc_on { " tsc=1 mode=" } else { " tsc=0 mode=" })?;
+    out.write_str(cell.mode.label())?;
+    out.write_str(" event=")?;
+    out.write_str(cell.event.name())?;
+    out.write_str(" hz=")?;
+    num(out, u64::from(cell.hz))?;
+    out.write_str(" bench=")?;
+    out.write_str(benchmark.name())?;
+    out.write_str(":")?;
+    num(out, benchmark.iterations())?;
+    out.write_str(" reps=")?;
+    num(out, reps as u64)?;
+    out.write_str(" base_seed=")?;
+    num(out, base_seed)?;
+    out.write_str(if fresh_boot { " boot=fresh" } else { " boot=session" })
 }
 
 /// Checksum of an on-disk cache payload (stored in the entry header and
@@ -1263,6 +1302,35 @@ mod tests {
         assert!(decode_record(&fields.join(",")).is_err());
     }
 
+    /// One field short or one too many is rejected with the total field
+    /// count in the message.
+    #[test]
+    fn record_decode_counts_fields_on_13_and_15() {
+        let record = run_measurement(
+            &MeasurementConfig::new(Processor::Core2Duo, Interface::PLpc).with_hz(0),
+            Benchmark::Loop { iters: 3 },
+        )
+        .unwrap();
+        let line = encode_record(&record);
+        let trimmed = line.trim_end();
+        let (short, _) = trimmed.rsplit_once(',').unwrap();
+        let long = format!("{trimmed},7");
+        let two_long = format!("{trimmed},,");
+        for (bad, n) in [(short.to_string(), 13), (long, 15), (two_long, 16)] {
+            let err = decode_record(&bad).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                proto(format!("record line has {n} fields, expected 14: {bad:?}")).to_string()
+            );
+        }
+        // Opt levels are exactly one digit.
+        for opt in ["00", "+1", "4", ""] {
+            let mut fields: Vec<&str> = trimmed.split(',').collect();
+            fields[3] = opt;
+            assert!(decode_record(&fields.join(",")).is_err(), "{opt:?}");
+        }
+    }
+
     #[test]
     fn grid_roundtrip_preserves_cells_and_encoding() {
         let g = sample_grid();
@@ -1322,6 +1390,44 @@ mod tests {
             cell_key(&cell, Benchmark::Loop { iters: 5 }, g.reps, g.base_seed, false),
             cell_key(&cell, Benchmark::Loop { iters: 6 }, g.reps, g.base_seed, false)
         );
+    }
+
+    /// The identity text is written piece by piece, not by `format!`;
+    /// over every null-grid cell, every zoo benchmark and the extreme
+    /// counts it is still the `format!` text the key format froze, and
+    /// the streamed key is still that text's hash.
+    #[test]
+    fn cell_key_hashes_the_formatted_identity() {
+        let benchmarks: Vec<Benchmark> =
+            Benchmark::zoo(64).into_iter().chain([Benchmark::Null]).collect();
+        for cell in Grid::full_null(3).cells() {
+            for &benchmark in &benchmarks {
+                for (reps, base_seed, fresh) in [(3, 0x6121D, false), (usize::MAX, u64::MAX, true)] {
+                    let text = format!(
+                        "cell/1 proc={} iface={} pattern={} opt={} counters={} tsc={} mode={} event={} hz={} \
+                         bench={}:{} reps={} base_seed={} boot={}",
+                        cell.processor.code(),
+                        cell.interface.code(),
+                        cell.pattern.code(),
+                        cell.opt_level.level(),
+                        cell.counters,
+                        u8::from(cell.tsc_on),
+                        cell.mode.label(),
+                        cell.event.name(),
+                        cell.hz,
+                        benchmark.name(),
+                        benchmark.iterations(),
+                        reps,
+                        base_seed,
+                        if fresh { "fresh" } else { "session" },
+                    );
+                    assert_eq!(cell_identity(&cell, benchmark, reps, base_seed, fresh), text);
+                    let mut h = StreamHasher::new(CELL_KEY_SEED);
+                    h.write_str(&text);
+                    assert_eq!(cell_key(&cell, benchmark, reps, base_seed, fresh), h.finish(), "{text}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -74,9 +74,10 @@ pub fn seed_combine(state: u64, value: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct StreamHasher {
     state: u64,
-    /// Pending bytes of an incomplete 8-byte chunk.
-    pending: [u8; 8],
-    pending_len: usize,
+    /// Pending bytes of an incomplete 8-byte chunk, packed little-endian
+    /// (zero above `pending_len` bytes).
+    pending: u64,
+    pending_len: u32,
     /// Total bytes written (u64 writes count as 8).
     len: u64,
 }
@@ -87,7 +88,7 @@ impl StreamHasher {
     pub fn new(seed: u64) -> Self {
         StreamHasher {
             state: splitmix64(seed),
-            pending: [0; 8],
+            pending: 0,
             pending_len: 0,
             len: 0,
         }
@@ -103,20 +104,23 @@ impl StreamHasher {
 
     /// Folds raw bytes into the state in 8-byte little-endian chunks,
     /// independent of how the byte stream is split across calls.
+    #[inline]
     pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.pending[self.pending_len] = b;
-            self.pending_len += 1;
-            if self.pending_len == 8 {
-                self.state = seed_combine(self.state, u64::from_le_bytes(self.pending));
-                self.pending = [0; 8];
-                self.pending_len = 0;
-            }
-        }
         self.len += bytes.len() as u64;
+        // A word at a time, never a byte at a time: cell keys hash their
+        // identity text as a few dozen short pieces.
+        let (chunks, rest) = bytes.as_chunks::<8>();
+        for chunk in chunks {
+            self.push_word(u64::from_le_bytes(*chunk), 8);
+        }
+        if !rest.is_empty() {
+            let word = rest.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+            self.push_word(word, rest.len() as u32);
+        }
     }
 
     /// [`StreamHasher::write_bytes`] over a string's UTF-8 bytes.
+    #[inline]
     pub fn write_str(&mut self, s: &str) {
         self.write_bytes(s.as_bytes());
     }
@@ -127,17 +131,49 @@ impl StreamHasher {
     pub fn finish(&self) -> u64 {
         let mut state = self.state;
         if self.pending_len > 0 {
-            state = seed_combine(state, u64::from_le_bytes(self.pending));
+            state = seed_combine(state, self.pending);
         }
         splitmix64(seed_combine(state, self.len))
     }
 
+    /// Appends the `n` (1 to 8) bytes packed little-endian in `word`,
+    /// folding the chunk they complete.
+    #[inline]
+    fn push_word(&mut self, word: u64, n: u32) {
+        // `pending_len` is at most 7, so no shift below reaches 64 bits.
+        let joined = self.pending | word << (8 * self.pending_len);
+        let total = self.pending_len + n;
+        if total < 8 {
+            self.pending = joined;
+            self.pending_len = total;
+            return;
+        }
+        self.state = seed_combine(self.state, joined);
+        self.pending = if self.pending_len == 0 {
+            0
+        } else {
+            word >> (8 * (8 - self.pending_len))
+        };
+        self.pending_len = total - 8;
+    }
+
     fn flush_pending(&mut self) {
         if self.pending_len > 0 {
-            self.state = seed_combine(self.state, u64::from_le_bytes(self.pending));
-            self.pending = [0; 8];
+            self.state = seed_combine(self.state, self.pending);
+            self.pending = 0;
             self.pending_len = 0;
         }
+    }
+}
+
+/// Formatting straight into the hash: `write!(hasher, ...)` folds exactly
+/// the bytes `format!` with the same arguments would produce, without
+/// building the string.
+impl std::fmt::Write for StreamHasher {
+    #[inline]
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write_bytes(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -206,6 +242,51 @@ mod tests {
             parts.write_bytes(&data[split..]);
             assert_eq!(parts.finish(), whole.finish(), "split at {split}");
         }
+    }
+
+    proptest::proptest! {
+        /// Any split of a byte stream into writes, at arbitrary points,
+        /// hashes like one write of the whole stream, and both match a
+        /// plain fold of its zero-padded 8-byte chunks.
+        #[test]
+        fn stream_hasher_split_writes_match_one_write(
+            data in proptest::prop::collection::vec(proptest::prelude::any::<u8>(), 0..80),
+            cuts in proptest::prop::collection::vec(0usize..80, 0..6),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut whole = StreamHasher::new(seed);
+            whole.write_bytes(&data);
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+            cuts.sort_unstable();
+            let mut parts = StreamHasher::new(seed);
+            let mut at = 0;
+            for cut in cuts {
+                parts.write_bytes(&data[at..cut]);
+                at = cut;
+            }
+            parts.write_bytes(&data[at..]);
+            proptest::prop_assert_eq!(parts.finish(), whole.finish());
+
+            let mut state = splitmix64(seed);
+            for chunk in data.chunks(8) {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                state = seed_combine(state, u64::from_le_bytes(word));
+            }
+            let reference = splitmix64(seed_combine(state, data.len() as u64));
+            proptest::prop_assert_eq!(whole.finish(), reference);
+        }
+    }
+
+    #[test]
+    fn stream_hasher_formats_like_format() {
+        use std::fmt::Write as _;
+        let (proc, reps, seed) = ("K8", 10, 0xBEEF_u64);
+        let mut streamed = StreamHasher::new(3);
+        write!(streamed, "cell/1 proc={proc} reps={reps} seed={seed:x}").unwrap();
+        let mut built = StreamHasher::new(3);
+        built.write_str(&format!("cell/1 proc={proc} reps={reps} seed={seed:x}"));
+        assert_eq!(streamed.finish(), built.finish());
     }
 
     #[test]

@@ -181,6 +181,9 @@ impl MixBuilder {
     }
 
     /// Adds branches, `taken` of which are taken.
+    // Not a leaf (it calls `min`), so rustc would keep it out of line
+    // in other crates; every shaped library mix calls it.
+    #[inline]
     pub fn branches(mut self, n: u64, taken: u64) -> Self {
         self.mix.branches += n;
         self.mix.taken_branches += taken.min(n);

@@ -134,16 +134,21 @@ impl PathCost {
 
 /// Shapes an instruction budget into a plausible user-library mix
 /// (~10% loads, ~5% stores, ~10% branches, the rest ALU).
+// perfctr, perfmon and PAPI shape every call's budgets through these two.
+#[inline]
 pub fn user_code_mix(instructions: u64) -> InstMix {
     shaped_mix(instructions)
 }
 
 /// Shapes an instruction budget into a plausible kernel-handler mix
 /// (same composition; kernel code is ordinary code).
+#[inline]
 pub fn kernel_code_mix(instructions: u64) -> InstMix {
     shaped_mix(instructions)
 }
 
+// Inlined with the two wrappers above into their callers' crates.
+#[inline]
 fn shaped_mix(instructions: u64) -> InstMix {
     if instructions < 8 {
         return InstMix::straight_line(instructions);

@@ -7,12 +7,17 @@
 //! are the *measurement error* the paper studies.
 //!
 //! The base constants below are calibrated on the Core 2 Duo so that the
-//! paper's headline numbers come out (see EXPERIMENTS.md): e.g. the fast
-//! user-mode read costs ≈51 pre + ≈58 post user instructions, giving the
-//! read-read median of ≈109 instructions the paper reports for CD
-//! (Figure 4), while Table 3's `pc` start-read lands near 163 user+kernel
-//! instructions. Platform factors scale the paths the way the paper's
-//! per-processor figures differ (e.g. K8's read-read median of 84).
+//! paper's headline numbers come out: e.g. the fast user-mode read costs
+//! ≈51 pre + ≈58 post user instructions, giving the read-read median of
+//! ≈109 instructions the paper reports for CD (Figure 4), while Table 3's
+//! `pc` start-read lands near 163 user+kernel instructions. Platform
+//! factors scale the paths the way the paper's per-processor figures
+//! differ (e.g. K8's read-read median of 84). The tests that pin these
+//! numbers are this module's `cd_fast_read_window_is_about_109` and
+//! `k8_fast_read_window_is_about_84`, `vperfctr`'s
+//! `null_window_error_fast_read_about_109`, and
+//! `counterlab::experiments::infrastructure`'s
+//! `absolute_medians_near_paper` (Table 3).
 
 use counterlab_cpu::uarch::Processor;
 
