@@ -103,18 +103,22 @@ struct MemEntry {
     payload: Arc<String>,
     /// LRU stamp: monotone access clock, smallest evicts first.
     stamp: u64,
+    /// The stamp this entry is filed under in `MemTier::lru`: its stamp
+    /// at its last put or refile, so never newer than `stamp`.
+    filed: u64,
 }
 
 #[derive(Default)]
 struct MemTier {
-    /// Keyed by cell key. A `BTreeMap` (not `HashMap`) on purpose:
-    /// iteration order is the key order, so eviction victim selection is
-    /// deterministic across processes — `HashMap`'s per-process
-    /// `RandomState` would make stamp ties break differently run to run.
+    /// Keyed by cell key. The key order is what `mem_keys` reports;
+    /// eviction order lives in `lru`.
     map: BTreeMap<u64, MemEntry>,
-    /// LRU order: each resident entry's stamp to its key. Stamps are
-    /// unique (every clock tick stamps at most one entry), so the first
-    /// entry is the least recently used one.
+    /// LRU index, refiled lazily: each resident entry's `filed` stamp to
+    /// its key. A hit moves only the entry's `stamp`; eviction refiles
+    /// stale entries as they reach the front, so hits cost no index work
+    /// and the first entry still filed under its current stamp is the
+    /// least recently used one. Stamps are unique (every clock tick
+    /// stamps at most one entry), so there are no ties.
     lru: BTreeMap<u64, u64>,
     bytes: usize,
     clock: u64,
@@ -191,12 +195,9 @@ impl CellCache {
             mem.clock += 1;
             let clock = mem.clock;
             if let Some(entry) = mem.map.get_mut(&key) {
-                let old = std::mem::replace(&mut entry.stamp, clock);
-                let payload = Arc::clone(&entry.payload);
-                mem.lru.remove(&old);
-                mem.lru.insert(clock, key);
+                entry.stamp = clock;
                 self.hits.incr();
-                return Some(payload);
+                return Some(Arc::clone(&entry.payload));
             }
         }
         if let Some(payload) = self.disk_read(key) {
@@ -220,9 +221,14 @@ impl CellCache {
         let mut mem = self.lock_mem();
         mem.clock += 1;
         let stamp = mem.clock;
-        if let Some(old) = mem.map.insert(key, MemEntry { payload: Arc::clone(&payload), stamp }) {
+        let entry = MemEntry {
+            payload: Arc::clone(&payload),
+            stamp,
+            filed: stamp,
+        };
+        if let Some(old) = mem.map.insert(key, entry) {
             mem.bytes -= old.payload.len();
-            mem.lru.remove(&old.stamp);
+            mem.lru.remove(&old.filed);
         }
         mem.lru.insert(stamp, key);
         mem.bytes += payload.len();
@@ -232,21 +238,31 @@ impl CellCache {
         // silently degrade to recompute-always for big cells.)
         //
         // Victim choice is fully deterministic: the smallest stamp wins,
-        // read off the front of the `lru` index in O(log n). Stamps are
-        // unique, so there are no ties to break — identical eviction
-        // pressure always leaves an identical resident set.
+        // read off the front of the `lru` index. An entry hit since it
+        // was filed is refiled under its current stamp and the next one
+        // tried, so each hit costs at most one refile. Stamps are unique,
+        // so there are no ties to break — identical eviction pressure
+        // always leaves an identical resident set.
         while mem.map.len() > self.config.max_entries.max(1)
             || (mem.bytes > self.config.max_bytes && mem.map.len() > 1)
         {
-            let Some((victim_stamp, victim)) = mem
-                .lru
-                .iter()
-                .find(|(_, k)| **k != key)
-                .map(|(s, k)| (*s, *k))
-            else {
+            let Some((filed, victim)) = mem.lru.pop_first() else {
                 break;
             };
-            mem.lru.remove(&victim_stamp);
+            if victim == key {
+                // Filed under the newest stamp, so it is the only entry left.
+                mem.lru.insert(filed, victim);
+                break;
+            }
+            let Some(entry) = mem.map.get_mut(&victim) else {
+                continue;
+            };
+            if entry.stamp != filed {
+                entry.filed = entry.stamp;
+                let refiled = entry.stamp;
+                mem.lru.insert(refiled, victim);
+                continue;
+            }
             if let Some(evicted) = mem.map.remove(&victim) {
                 mem.bytes -= evicted.payload.len();
             }
@@ -1328,10 +1344,8 @@ mod tests {
     #[test]
     fn cache_eviction_is_order_deterministic() {
         // Two caches fed the exact same access sequence under the same
-        // pressure must end up with the exact same resident key set —
-        // including stamp *ties*, which the BTreeMap backing breaks
-        // toward the smallest key instead of HashMap's per-process
-        // RandomState order.
+        // pressure must end up with the exact same resident key set:
+        // victim choice depends on the access order alone.
         let run = || {
             let cache = CellCache::new(CacheConfig {
                 max_entries: 4,

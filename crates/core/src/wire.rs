@@ -17,7 +17,7 @@
 //!   sees any other token MUST reject the message — there is no silent
 //!   cross-version parsing.
 //! * Within version 1 the record field list, the grid key set, the
-//!   canonical cell-identity string of [`cell_identity`] and the
+//!   canonical cell-identity string [`cell_key`] hashes and the
 //!   [`counterlab_cpu::hash::StreamHasher`] sequence are **frozen**.
 //!   Any change to any of them — adding a field, reordering, changing a
 //!   hash constant — requires bumping the token to `COUNTD/2` /
@@ -442,31 +442,17 @@ pub fn decode_grid(line: &str) -> Result<Grid> {
 // Cache keys
 // ---------------------------------------------------------------------------
 
-/// The canonical cell-identity string a cache key hashes: everything
-/// that determines the cell's serialized record block, and nothing else.
-///
-/// That is the cell's configuration (the `seed` field excluded — the
-/// canonical cell carries `seed = 0` and per-repetition seeds derive
-/// from `base_seed`), the benchmark, the repetition count, the base
-/// seed, and the boot policy (a proven no-op on the bytes, included so
-/// the two engines never share an entry anyway). The leading `cell/1`
-/// token versions the identity itself.
-pub fn cell_identity(
-    cell: &MeasurementConfig,
-    benchmark: Benchmark,
-    reps: usize,
-    base_seed: u64,
-    fresh_boot: bool,
-) -> String {
-    let mut text = String::new();
-    // Writing into a `String` cannot fail.
-    let _ = write_cell_identity(&mut text, cell, benchmark, reps, base_seed, fresh_boot);
-    text
-}
-
-/// The content-addressed cache key: [`StreamHasher`] over
-/// [`cell_identity`]. Two requests share a key exactly when their cells
+/// The content-addressed cache key: [`StreamHasher`] over the canonical
+/// cell-identity text. Two requests share a key exactly when their cells
 /// must produce byte-identical record blocks.
+///
+/// The identity is everything that determines the cell's serialized
+/// record block, and nothing else: the cell's configuration (the `seed`
+/// field excluded — the canonical cell carries `seed = 0` and
+/// per-repetition seeds derive from `base_seed`), the benchmark, the
+/// repetition count, the base seed, and the boot policy (a proven no-op
+/// on the bytes, included so the two engines never share an entry
+/// anyway). The leading `cell/1` token versions the identity itself.
 pub fn cell_key(
     cell: &MeasurementConfig,
     benchmark: Benchmark,
@@ -481,9 +467,9 @@ pub fn cell_key(
     h.finish()
 }
 
-/// The one definition of the [`cell_identity`] text, written to `out`
-/// piece by piece without `core::fmt` (whose per-argument cost was most
-/// of a key).
+/// The one definition of the cell-identity text [`cell_key`] hashes,
+/// written to `out` piece by piece without `core::fmt` (whose
+/// per-argument cost was most of a key).
 fn write_cell_identity<W: std::fmt::Write>(
     out: &mut W,
     cell: &MeasurementConfig,
@@ -492,7 +478,12 @@ fn write_cell_identity<W: std::fmt::Write>(
     base_seed: u64,
     fresh_boot: bool,
 ) -> std::fmt::Result {
-    let num = |out: &mut W, n: u64| report::with_decimal(n, |digits| out.write_str(digits));
+    let num = |out: &mut W, n: u64| {
+        let mut buf = [0u8; 20];
+        let digits = report::decimal_digits(n, &mut buf);
+        // Decimal digits are ASCII, so this never fails.
+        out.write_str(std::str::from_utf8(digits).map_err(|_| std::fmt::Error)?)
+    };
     out.write_str("cell/1 proc=")?;
     out.write_str(cell.processor.code())?;
     out.write_str(" iface=")?;
@@ -1421,7 +1412,9 @@ mod tests {
                         base_seed,
                         if fresh { "fresh" } else { "session" },
                     );
-                    assert_eq!(cell_identity(&cell, benchmark, reps, base_seed, fresh), text);
+                    let mut written = String::new();
+                    write_cell_identity(&mut written, &cell, benchmark, reps, base_seed, fresh).unwrap();
+                    assert_eq!(written, text);
                     let mut h = StreamHasher::new(CELL_KEY_SEED);
                     h.write_str(&text);
                     assert_eq!(cell_key(&cell, benchmark, reps, base_seed, fresh), h.finish(), "{text}");
