@@ -4,19 +4,17 @@
 //! repro [--scale quick|standard|paper] [--jobs N] [--out DIR] COMMAND...
 //! ```
 //!
-//! The command set, `--stream` eligibility, ablation flags and artifact
-//! names all come from [`counterlab::experiment::registry`] — this
-//! binary is a data-driven loop over that catalog, with no per-figure
-//! dispatch of its own. `repro list` prints the catalog.
+//! The command set, ablation flags and artifact names all come from
+//! [`counterlab::experiment::registry`] — this binary is a data-driven
+//! loop over that catalog, with no per-figure dispatch of its own.
+//! `repro list` prints the catalog.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use counterlab::exec::{Priority, RunOptions};
-use counterlab::experiment::{
-    ablation_owner, registry, suggest, ConsoleSink, EngineMode, ExperimentCtx, Scale,
-};
+use counterlab::experiment::{ablation_owner, registry, suggest, ConsoleSink, ExperimentCtx, Scale};
 use counterlab::fault::FaultPlan;
 use counterlab::grid::Grid;
 use counterlab::report;
@@ -66,10 +64,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut bench = false;
     let mut bench_json = PathBuf::from(BENCH_JSON);
     let mut json_given = false;
-    // Streaming engine: constant-memory per-cell aggregation on the null
-    // grid. Experiments whose capabilities don't claim streaming ignore
-    // it: their output is byte-identical either way.
-    let mut stream = false;
     // 0 = one worker per available CPU (the engine default).
     let mut jobs: usize = 0;
     let mut jobs_given = false;
@@ -115,7 +109,6 @@ fn run(args: &[String]) -> Result<(), String> {
                     .ok_or_else(|| format!("--jobs needs a thread count >= 1, got {value:?}"))?;
                 jobs_given = true;
             }
-            "--stream" => stream = true,
             "--addr" => {
                 i += 1;
                 addr = Some(args.get(i).ok_or("--addr needs HOST:PORT")?.clone());
@@ -215,13 +208,12 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         let what = if serve { SERVE } else { CLIENT };
         // `client experiment <id>` is the one client action that takes a
-        // registry command (the experiment to serve) and the `--stream`/
-        // `--out` flags; everywhere else they are usage errors.
+        // registry command (the experiment to serve) and the `--out` flag;
+        // everywhere else they are usage errors.
         let exp_client = client && client_action == Some("experiment");
         if (!commands.is_empty() && !exp_client)
             || list
             || bench
-            || (stream && !exp_client)
             || !ablations.is_empty()
             || (out_dir.is_some() && !exp_client)
             || json_given
@@ -292,7 +284,6 @@ fn run(args: &[String]) -> Result<(), String> {
             priority,
             csv_out,
             experiment_id,
-            stream,
             out_dir.as_deref(),
             &call_options(timeout_ms, retries),
         );
@@ -321,7 +312,7 @@ fn run(args: &[String]) -> Result<(), String> {
         return Err(format!("--json only applies to {BENCH}; see --help"));
     }
     if bench {
-        if !commands.is_empty() || list || stream || !ablations.is_empty() || out_dir.is_some() {
+        if !commands.is_empty() || list || !ablations.is_empty() || out_dir.is_some() {
             return Err(format!("{BENCH} runs alone; see --help"));
         }
         let scale_name = Scale::NAMES
@@ -371,19 +362,12 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 
     let mut sink = ConsoleSink::new(out_dir.as_deref()).map_err(|e| e.to_string())?;
-    let mode = if stream {
-        EngineMode::Streaming
-    } else {
-        EngineMode::Batch
-    };
 
     for exp in registry() {
         if !want(exp.id()) {
             continue;
         }
-        let mut ctx = ExperimentCtx::new(scale)
-            .with_opts(RunOptions::with_jobs(jobs))
-            .with_mode(mode);
+        let mut ctx = ExperimentCtx::new(scale).with_opts(RunOptions::with_jobs(jobs));
         for ablation in exp.capabilities().ablations {
             if ablations.contains(&ablation.flag) {
                 ctx = ctx.with_ablation(ablation.flag);
@@ -475,7 +459,6 @@ fn run_client(
     priority: Option<Priority>,
     csv_out: bool,
     experiment_id: Option<&str>,
-    stream: bool,
     out_dir: Option<&std::path::Path>,
     opts: &CallOptions,
 ) -> Result<(), String> {
@@ -531,7 +514,7 @@ fn run_client(
                 .copied()
                 .unwrap_or("standard");
             let artifacts =
-                serve::request_experiment_with(addr, id, scale_name, stream, opts).map_err(err)?;
+                serve::request_experiment_with(addr, id, scale_name, opts).map_err(err)?;
             for artifact in &artifacts {
                 if let Some(dir) = out_dir {
                     std::fs::create_dir_all(dir).map_err(err)?;
@@ -581,7 +564,6 @@ fn render_list() -> String {
             vec![
                 exp.id().to_string(),
                 exp.title().to_string(),
-                if caps.streaming { "yes" } else { "-" }.to_string(),
                 if caps.ablations.is_empty() {
                     "-".to_string()
                 } else {
@@ -597,7 +579,7 @@ fn render_list() -> String {
     format!(
         "Registered experiments ({}):\n\n{}",
         registry().len(),
-        report::table(&["id", "title", "--stream", "ablations"], &rows)
+        report::table(&["id", "title", "ablations"], &rows)
     )
 }
 
@@ -632,7 +614,7 @@ fn help() -> String {
          {:<15}[--csv] — --csv prints the records as CSV, diffable\n\
          {:<15}against a local `repro csv` run)\n\
          {:<15}(experiment ID: serve a registered experiment through\n\
-         {:<15}the daemon; [--scale S] [--stream] [--out DIR] — the\n\
+         {:<15}the daemon; [--scale S] [--out DIR] — the\n\
          {:<15}artifacts are byte-identical to a local run)\n",
         "",
         CLIENT_ACTIONS.join("|"),
@@ -650,27 +632,6 @@ fn help() -> String {
             ablations.push_str(&format!("  {} {:<15} {}\n", exp.id(), a.flag, a.effect));
         }
     }
-
-    // The streaming-eligible ids, wrapped to the options column.
-    let indent = " ".repeat(32);
-    let mut streaming = String::new();
-    let mut line = String::from("Applies to");
-    for id in registry()
-        .iter()
-        .filter(|e| e.capabilities().streaming)
-        .map(|e| e.id())
-    {
-        if line.len() + id.len() + 1 > 46 {
-            streaming.push_str(&line);
-            streaming.push('\n');
-            streaming.push_str(&indent);
-            line = String::new();
-        } else {
-            line.push(' ');
-        }
-        line.push_str(id);
-    }
-    streaming.push_str(&line);
 
     format!(
         "\
@@ -721,13 +682,6 @@ OPTIONS:
   --out DIR                     also write artifacts into DIR
   --json PATH                   bench: where the results JSON lands
                                 (default {BENCH_JSON})
-  --stream                      run on the streaming statistics engine:
-                                constant-memory per-cell aggregation;
-                                figure summaries match the batch engine
-                                (P2 quartiles beyond the exact window).
-                                {streaming};
-                                other commands ignore it (identical
-                                output).
 
 COMMANDS:
 {commands}
@@ -765,7 +719,7 @@ mod tests {
             }
         }
         for word in [
-            ALL, LIST, BENCH, SERVE, CLIENT, "--stream", "--jobs", "--out", "--scale", "--json",
+            ALL, LIST, BENCH, SERVE, CLIENT, "--jobs", "--out", "--scale", "--json",
             "--addr", "--workers", "--cache-dir", "--priority", "--csv", "--served", "--timeout",
             "--retries", "--chaos-seed",
         ] {
@@ -815,16 +769,14 @@ mod tests {
     }
 
     /// The acceptance-criterion identity at the CLI level: the csv
-    /// artifact is byte-for-byte the same under `--jobs 1`, `--jobs 4`
-    /// and the streaming engine.
+    /// artifact is byte-for-byte the same under `--jobs 1` and `--jobs 4`.
     #[test]
-    fn csv_identical_across_jobs_and_stream() {
+    fn csv_identical_across_jobs() {
         let base = std::env::temp_dir().join(format!("repro-csv-drift-{}", std::process::id()));
         let mut outputs = Vec::new();
         for (name, flags) in [
             ("j1", &["--jobs", "1"][..]),
             ("j4", &["--jobs", "4"]),
-            ("stream", &["--jobs", "4", "--stream"]),
         ] {
             let dir = base.join(name);
             let mut a = args(flags);
@@ -842,14 +794,13 @@ mod tests {
     }
 
     /// `bench` is a standalone command: combining it with experiments,
-    /// `list`, `--stream` or ablation flags is a usage error (it would
+    /// `list`, `--out` or ablation flags is a usage error (it would
     /// silently change what gets timed).
     #[test]
     fn bench_runs_alone() {
         for bad in [
             &["bench", "fig1"][..],
             &["bench", "list"],
-            &["bench", "--stream"],
             &["bench", "--out", "somewhere"],
             &["fig7", "--no-timer", "bench"],
         ] {
@@ -916,7 +867,7 @@ mod tests {
             &["client", "grid", "--workers", "2"],
             &["client", "grid", "--cache-dir", "somewhere"],
             &["client", "grid", "--priority", "urgent"],
-            &["client", "grid", "--stream"],
+            &["client", "grid", "--out", "somewhere"],
             &["client", "ping", "--out", "somewhere"],
             &["client", "experiment"],
             &["client", "experiment", "all"],
@@ -971,7 +922,6 @@ mod tests {
             addr.as_str(),
             "--scale",
             "quick",
-            "--stream",
             "--out",
             served_dir.to_str().unwrap(),
             "experiment",

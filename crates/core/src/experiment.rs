@@ -4,11 +4,11 @@
 //! turns each of them into a registered [`Experiment`]:
 //!
 //! * [`Experiment`] — the driver trait: an `id` (the CLI command), a
-//!   `title`, [`Capabilities`] (streaming support, ablation flags) and a
-//!   `run` that produces a [`Report`];
+//!   `title`, [`Capabilities`] (its ablation flags) and a `run` that
+//!   produces a [`Report`];
 //! * [`ExperimentCtx`] — everything a run needs: the repetition
-//!   [`Scale`], execution-engine [`RunOptions`], the [`EngineMode`]
-//!   selector and any enabled ablation flags;
+//!   [`Scale`], execution-engine [`RunOptions`] and any enabled ablation
+//!   flags;
 //! * [`Report`] / [`Artifact`] — named outputs (rendered text, CSV row
 //!   streams) that a pluggable [`Sink`] consumes: [`ConsoleSink`] for the
 //!   CLI, [`DirSink`] for file-only output, [`MemorySink`] for tests;
@@ -32,8 +32,8 @@
 //!
 //! Implement the trait on a unit struct in the relevant
 //! [`crate::experiments`] module and add it to [`registry`]; the CLI's
-//! command validation, `list` output, `all` sweep, `--stream`
-//! eligibility and artifact emission pick it up with no further wiring:
+//! command validation, `list` output, `all` sweep, ablation flags and
+//! artifact emission pick it up with no further wiring:
 //!
 //! ```
 //! use counterlab::experiment::{Experiment, ExperimentCtx, Report};
@@ -120,21 +120,6 @@ impl Scale {
     }
 }
 
-/// Which statistics engine an experiment runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineMode {
-    /// Materialize every record, then summarize (exact quantiles,
-    /// whiskers, outliers, bootstrap CIs).
-    #[default]
-    Batch,
-    /// Fold each null-grid cell's records into a constant-memory
-    /// accumulator ([`counterlab_stats::stream`]) instead of materializing
-    /// them; summaries agree with batch within the documented tolerances.
-    /// Only experiments whose [`Capabilities::streaming`] is set (fig1,
-    /// table3, anova) have such a driver.
-    Streaming,
-}
-
 /// An ablation an experiment understands: a CLI flag plus the effect it
 /// has, straight out of the paper's narrative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,43 +130,21 @@ pub struct Ablation {
     pub effect: &'static str,
 }
 
-/// What an experiment can do beyond a plain batch run.
+/// What an experiment accepts beyond a plain run (the default: nothing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Capabilities {
-    /// Whether [`EngineMode::Streaming`] selects a second, constant-memory
-    /// driver. Otherwise the experiment has one driver and ignores the
-    /// mode bit for bit.
-    pub streaming: bool,
     /// Ablation flags this experiment accepts.
     pub ablations: &'static [Ablation],
 }
 
-impl Capabilities {
-    /// Batch-only, no ablations.
-    pub const BATCH_ONLY: Capabilities = Capabilities {
-        streaming: false,
-        ablations: &[],
-    };
-
-    /// Streaming-capable, no ablations.
-    pub const STREAMING: Capabilities = Capabilities {
-        streaming: true,
-        ablations: &[],
-    };
-}
-
-/// Everything an [`Experiment::run`] needs: scale, engine options, the
-/// engine-mode selector and enabled ablations.
+/// Everything an [`Experiment::run`] needs: scale, engine options and
+/// enabled ablations.
 #[derive(Debug, Clone, Default)]
 pub struct ExperimentCtx {
     /// Repetition preset.
     pub scale: Scale,
     /// Execution-engine options (the worker count).
     pub opts: RunOptions,
-    /// Requested statistics engine. Experiments whose
-    /// [`Capabilities::streaming`] is `false` run batch regardless; use
-    /// [`Experiment::engine`] to resolve the effective mode.
-    pub mode: EngineMode,
     /// Enabled ablation flags (validated against the registry by the
     /// CLI before any experiment runs).
     pub ablations: Vec<&'static str>,
@@ -194,13 +157,12 @@ impl Default for Scale {
 }
 
 impl ExperimentCtx {
-    /// A batch-mode context at the given scale with default engine
-    /// options and no ablations.
+    /// A context at the given scale with default engine options and no
+    /// ablations.
     pub fn new(scale: Scale) -> Self {
         ExperimentCtx {
             scale,
             opts: RunOptions::default(),
-            mode: EngineMode::Batch,
             ablations: Vec::new(),
         }
     }
@@ -208,12 +170,6 @@ impl ExperimentCtx {
     /// Replaces the execution-engine options.
     pub fn with_opts(mut self, opts: RunOptions) -> Self {
         self.opts = opts;
-        self
-    }
-
-    /// Selects the statistics engine.
-    pub fn with_mode(mut self, mode: EngineMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -240,18 +196,9 @@ pub trait Experiment: Sync {
     /// One-line human title shown by `repro list`.
     fn title(&self) -> &'static str;
 
-    /// What the experiment supports beyond a plain batch run.
+    /// What the experiment accepts beyond a plain run.
     fn capabilities(&self) -> Capabilities {
-        Capabilities::BATCH_ONLY
-    }
-
-    /// Resolves the engine the experiment will actually use for `ctx`:
-    /// [`EngineMode::Streaming`] only when both requested and supported.
-    fn engine(&self, ctx: &ExperimentCtx) -> EngineMode {
-        match ctx.mode {
-            EngineMode::Streaming if self.capabilities().streaming => EngineMode::Streaming,
-            _ => EngineMode::Batch,
-        }
+        Capabilities::default()
     }
 
     /// Runs the experiment and returns its artifacts.
@@ -807,17 +754,6 @@ mod tests {
         let ctx = ExperimentCtx::new(Scale::quick()).with_ablation("--no-timer");
         assert!(ctx.ablated("--no-timer"));
         assert!(!ctx.ablated("--single-build"));
-    }
-
-    #[test]
-    fn engine_resolution_respects_capabilities() {
-        let streaming_ctx = ExperimentCtx::new(Scale::quick()).with_mode(EngineMode::Streaming);
-        let batch_ctx = ExperimentCtx::new(Scale::quick());
-        let fig1 = find("fig1").unwrap();
-        let fig6 = find("fig6").unwrap();
-        assert_eq!(fig1.engine(&streaming_ctx), EngineMode::Streaming);
-        assert_eq!(fig1.engine(&batch_ctx), EngineMode::Batch);
-        assert_eq!(fig6.engine(&streaming_ctx), EngineMode::Batch);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The full null-grid CSV dump — the raw data behind Figure 1, exported
 //! for external analysis.
 //!
-//! There is one path, with or without `--stream`: [`Grid::run_csv`] pushes
-//! lines to the sink in flat index order as bounded batches of cells
-//! complete, `O(1)` memory in the record count. Its bytes are pinned by
-//! `tests/golden_csv.rs`.
+//! There is one path: [`Grid::run_csv`] pushes lines to the sink in flat
+//! index order as bounded batches of cells complete, `O(1)` memory in the
+//! record count. Its bytes are pinned by `tests/golden_csv.rs`.
 
 use crate::exec::RunOptions;
 use crate::experiment::{Artifact, Experiment, ExperimentCtx, Report};

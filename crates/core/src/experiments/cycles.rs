@@ -121,7 +121,6 @@ impl Experiment for Fig11Experiment {
 
     fn capabilities(&self) -> Capabilities {
         Capabilities {
-            streaming: false,
             ablations: &[SINGLE_BUILD],
         }
     }

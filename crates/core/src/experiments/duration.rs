@@ -91,7 +91,6 @@ impl Experiment for Fig7 {
 
     fn capabilities(&self) -> Capabilities {
         Capabilities {
-            streaming: false,
             ablations: &[NO_TIMER],
         }
     }
@@ -119,10 +118,6 @@ impl Experiment for Fig8 {
         "Figure 8: user-mode error nearly duration-independent"
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::BATCH_ONLY
-    }
-
     fn run(&self, ctx: &ExperimentCtx) -> Result<Report> {
         let fig = slopes_for_ctx(ctx, CountingMode::User, DEFAULT_HZ)?;
         Ok(Report::text("fig8.txt", fig.render()))
@@ -146,10 +141,6 @@ impl Experiment for Fig9Experiment {
 
     fn title(&self) -> &'static str {
         "Figure 9: kernel-mode instructions by loop size (pc on CD)"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::BATCH_ONLY
     }
 
     fn run(&self, ctx: &ExperimentCtx) -> Result<Report> {

@@ -10,13 +10,12 @@ use std::collections::BTreeMap;
 use counterlab_cpu::pmu::Event;
 use counterlab_cpu::uarch::Processor;
 use counterlab_stats::boxplot::BoxPlot;
-use counterlab_stats::stream::SummaryAccumulator;
 
 use crate::benchmark::Benchmark;
 use crate::config::OptLevel;
 use crate::exec::RunOptions;
-use crate::experiment::{Capabilities, EngineMode, Experiment, ExperimentCtx, Report};
-use crate::grid::{Grid, RecordSet};
+use crate::experiment::{Experiment, ExperimentCtx, Report};
+use crate::grid::Grid;
 use crate::interface::{CountingMode, Interface};
 use crate::pattern::Pattern;
 use crate::report;
@@ -74,8 +73,7 @@ pub struct InfrastructureFigure {
     pub rows: Vec<Table3Row>,
 }
 
-/// Registry driver for Table 3. Streaming swaps the bootstrap-CI column
-/// for constant-memory summaries (the CI needs the raw sample).
+/// Registry driver for Table 3.
 pub struct Table3;
 
 impl Experiment for Table3 {
@@ -87,29 +85,20 @@ impl Experiment for Table3 {
         "Table 3: error depends on infrastructure (best pattern per tool)"
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::STREAMING
-    }
-
     fn run(&self, ctx: &ExperimentCtx) -> Result<Report> {
-        let text = match self.engine(ctx) {
-            EngineMode::Streaming => {
-                run_streaming_with(ctx.scale.grid_reps, &ctx.opts)?.render_table3()
-            }
-            EngineMode::Batch => run_with(ctx.scale.grid_reps, &ctx.opts)?.render_table3(),
-        };
+        let text = run_with(ctx.scale.grid_reps, &ctx.opts)?.render_table3();
         Ok(Report::text("table3.txt", text))
     }
 }
 
-/// Registry driver for Figure 6 — batch only: the box plots need
-/// whiskers and outliers, which only the materialized records carry.
+/// Registry driver for Figure 6: the box plots of the rows Table 3 lists.
 ///
 /// Requesting both `table3` and `fig6` runs the shared sweep once per
-/// driver. That is deliberate: the sweep is deterministic (identical
-/// per-run seeds) and takes milliseconds even at paper scale, so the
-/// registry keeps one self-contained experiment per id instead of a
-/// cross-driver result cache.
+/// driver: the sweep is deterministic (identical per-run seeds), so both
+/// see the same rows, but `repro all` pays for it twice. At paper scale
+/// that repeat is a large share of `repro all`'s time; ROADMAP item 3
+/// (one pass over the null-grid cells for every experiment that reads
+/// them) is where it goes.
 pub struct Fig6;
 
 impl Experiment for Fig6 {
@@ -143,23 +132,25 @@ pub fn run_with(reps: usize, opts: &RunOptions) -> Result<InfrastructureFigure> 
     grid.modes = vec![CountingMode::UserKernel, CountingMode::User];
     grid.event = Event::InstructionsRetired;
     grid.reps = reps.max(1);
-    let records = grid.run_with(opts)?;
+
+    // Pool the cells' exact samples per (mode, interface, pattern) in cell
+    // order: the records' order, filtered.
+    let mut pools: BTreeMap<(CountingMode, Interface, Pattern), Vec<f64>> = BTreeMap::new();
+    for (config, sample) in super::error_samples(&grid, opts)? {
+        pools
+            .entry((config.mode, config.interface, config.pattern))
+            .or_default()
+            .extend(sample.iter().map(|&e| e as f64));
+    }
 
     let mut rows = Vec::new();
     for &mode in &[CountingMode::UserKernel, CountingMode::User] {
         for &interface in &Interface::ALL {
             let mut best: Option<(Pattern, BoxPlot, Vec<f64>)> = None;
             for pattern in interface.supported_patterns() {
-                let errors = records
-                    .filtered(|r| {
-                        r.config.mode == mode
-                            && r.config.interface == interface
-                            && r.config.pattern == pattern
-                    })
-                    .errors();
-                if errors.is_empty() {
+                let Some(errors) = pools.remove(&(mode, interface, pattern)) else {
                     continue;
-                }
+                };
                 let bp = BoxPlot::from_slice(&errors)?;
                 let better = match &best {
                     None => true,
@@ -181,126 +172,6 @@ pub fn run_with(reps: usize, opts: &RunOptions) -> Result<InfrastructureFigure> 
         }
     }
     Ok(InfrastructureFigure { rows })
-}
-
-/// One Table 3 row computed by the streaming engine: the same
-/// best-pattern search and median/min columns, from per-cell accumulators
-/// instead of materialized records (no outlier list and no bootstrap CI —
-/// both need the raw sample).
-#[derive(Debug, Clone)]
-pub struct StreamingTable3Row {
-    /// Counting mode.
-    pub mode: CountingMode,
-    /// The interface.
-    pub interface: Interface,
-    /// The pattern with the lowest (streamed) median error.
-    pub best_pattern: Pattern,
-    /// Error summary for the best pattern.
-    pub summary: counterlab_stats::descriptive::Summary,
-}
-
-/// The streaming Figure 6 / Table 3 data.
-#[derive(Debug, Clone)]
-pub struct StreamingInfrastructure {
-    /// One row per (mode, interface).
-    pub rows: Vec<StreamingTable3Row>,
-}
-
-/// [`run_with`] on the streaming engine: the grid folds into one
-/// [`SummaryAccumulator`] per cell, pooled per (mode, interface, pattern)
-/// in cell-enumeration order, and the best pattern is chosen by streamed
-/// median exactly as the batch path chooses it.
-///
-/// # Errors
-///
-/// Propagates grid and statistics failures.
-pub fn run_streaming_with(reps: usize, opts: &RunOptions) -> Result<StreamingInfrastructure> {
-    let mut grid = Grid::new(Benchmark::Null);
-    grid.processors = Processor::ALL.to_vec();
-    grid.interfaces = Interface::ALL.to_vec();
-    grid.patterns = Pattern::ALL.to_vec();
-    grid.opt_levels = OptLevel::ALL.to_vec();
-    grid.counter_counts = vec![1];
-    grid.tsc_settings = vec![true];
-    grid.modes = vec![CountingMode::UserKernel, CountingMode::User];
-    grid.event = Event::InstructionsRetired;
-    grid.reps = reps.max(1);
-    let cells = grid.run_fold(
-        opts,
-        |_| SummaryAccumulator::new(),
-        |acc, record| acc.push(record.error() as f64),
-    )?;
-
-    // Pool cells per (mode, interface, pattern) in enumeration order.
-    let mut pools: BTreeMap<(u8, u8, u8), SummaryAccumulator> = BTreeMap::new();
-    for (config, acc) in cells {
-        pools
-            .entry((
-                config.mode as u8,
-                config.interface as u8,
-                config.pattern as u8,
-            ))
-            .or_default()
-            .merge(acc);
-    }
-
-    let mut rows = Vec::new();
-    for &mode in &[CountingMode::UserKernel, CountingMode::User] {
-        for &interface in &Interface::ALL {
-            let mut best: Option<(Pattern, counterlab_stats::descriptive::Summary)> = None;
-            for pattern in interface.supported_patterns() {
-                let Some(acc) = pools.get(&(mode as u8, interface as u8, pattern as u8)) else {
-                    continue;
-                };
-                let summary = acc.finish()?;
-                let better = match &best {
-                    None => true,
-                    Some((_, b)) => summary.median() < b.median(),
-                };
-                if better {
-                    best = Some((pattern, summary));
-                }
-            }
-            let (best_pattern, summary) = best.ok_or(CoreError::NoData("table3 row"))?;
-            rows.push(StreamingTable3Row {
-                mode,
-                interface,
-                best_pattern,
-                summary,
-            });
-        }
-    }
-    Ok(StreamingInfrastructure { rows })
-}
-
-impl StreamingInfrastructure {
-    /// The row for an interface/mode.
-    pub fn row(&self, interface: Interface, mode: CountingMode) -> Option<&StreamingTable3Row> {
-        self.rows
-            .iter()
-            .find(|r| r.interface == interface && r.mode == mode)
-    }
-
-    /// Renders Table 3 from the streamed summaries.
-    pub fn render_table3(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.mode.to_string(),
-                    r.interface.to_string(),
-                    r.best_pattern.name().to_string(),
-                    format!("{:.0}", r.summary.median()),
-                    format!("{:.0}", r.summary.min()),
-                ]
-            })
-            .collect();
-        format!(
-            "Table 3: Error Depends on Infrastructure (streaming)\n\n{}",
-            report::table(&["Mode", "Tool", "Best Pattern", "Median", "Min"], &rows)
-        )
-    }
 }
 
 impl InfrastructureFigure {
@@ -460,24 +331,5 @@ mod tests {
         let f6 = f.render_fig6();
         assert!(f6.contains("user+os mode"));
         assert!(f6.contains('['));
-    }
-
-    #[test]
-    fn streaming_rows_match_batch() {
-        // At this scale every pool stays inside the accumulators' exact
-        // windows, so the streamed medians — and therefore the
-        // best-pattern choices — must equal the batch path's exactly.
-        let batch = run_with(2, &RunOptions::default()).unwrap();
-        let stream = run_streaming_with(2, &RunOptions::default()).unwrap();
-        assert_eq!(stream.rows.len(), batch.rows.len());
-        for b in &batch.rows {
-            let s = stream.row(b.interface, b.mode).unwrap();
-            assert_eq!(s.best_pattern, b.best_pattern, "{}/{}", b.interface, b.mode);
-            assert_eq!(s.summary.median(), b.median());
-            assert_eq!(s.summary.n(), b.errors.len());
-        }
-        let text = stream.render_table3();
-        assert!(text.contains("streaming"));
-        assert!(text.contains("Best Pattern"));
     }
 }

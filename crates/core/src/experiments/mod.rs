@@ -20,13 +20,18 @@
 //!
 //! Every submodule registers its drivers as [`crate::experiment::Experiment`]
 //! impls in [`crate::experiment::registry`] — the one public API for
-//! running reproductions. A driver's context carries the repetition
-//! scale, the execution-engine options, and the engine-mode selector:
-//! streaming is a ctx flag ([`crate::experiment::EngineMode::Streaming`]),
-//! not a parallel API, and experiments that need the raw sample (KDE
-//! violins, box-plot outliers, bootstrap CIs) simply declare themselves
-//! batch-only. The typed `*_with` functions remain underneath for tests
-//! and benches that compare engines or sweep custom sizes.
+//! running reproductions. A driver's context carries the repetition scale,
+//! the execution-engine options and any enabled ablations; each figure has
+//! exactly one driver and one statistics path. The null-grid summaries
+//! (fig1, table3/fig6, anova) fold every cell into its exact error sample
+//! (`error_samples`) instead of materializing records. The typed `*_with`
+//! functions remain underneath for tests and benches that sweep custom
+//! sizes.
+
+use crate::config::MeasurementConfig;
+use crate::exec::RunOptions;
+use crate::grid::Grid;
+use crate::Result;
 
 pub mod anova;
 pub mod cache;
@@ -40,3 +45,28 @@ pub mod registers;
 pub mod tables;
 pub mod tsc;
 pub mod workload;
+
+/// Runs `grid` and returns every cell's exact error sample
+/// ([`Record::error`](crate::measure::Record::error), in repetition
+/// order), in cell-enumeration order.
+///
+/// Cell order then repetition order is exactly the order of
+/// [`Grid::run_with`]'s records, so a pool built by concatenating these
+/// samples in cell order feeds every statistic the same values in the
+/// same order as the filtered records would: the f64 sums, and with them
+/// the output bytes, cannot drift. Only the `i64` errors are held, never a
+/// whole record.
+///
+/// # Errors
+///
+/// As [`Grid::run_fold`].
+pub(crate) fn error_samples(
+    grid: &Grid,
+    opts: &RunOptions,
+) -> Result<Vec<(MeasurementConfig, Vec<i64>)>> {
+    grid.run_fold(
+        opts,
+        |_| Vec::with_capacity(grid.reps),
+        |sample: &mut Vec<i64>, record| sample.push(record.error()),
+    )
+}

@@ -2,12 +2,11 @@
 //! configurations — “over 170000 measurements” in the paper, scaled here
 //! by a repetition parameter.
 
-use counterlab_stats::histogram::Histogram;
 use counterlab_stats::prelude::*;
 
 use crate::exec::RunOptions;
-use crate::experiment::{Capabilities, EngineMode, Experiment, ExperimentCtx, Report};
-use crate::grid::{Grid, RecordSet};
+use crate::experiment::{Experiment, ExperimentCtx, Report};
+use crate::grid::Grid;
 use crate::interface::CountingMode;
 use crate::report;
 use crate::{CoreError, Result};
@@ -24,17 +23,8 @@ impl Experiment for Fig1 {
         "Figure 1: violin plots of all-configuration error"
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::STREAMING
-    }
-
     fn run(&self, ctx: &ExperimentCtx) -> Result<Report> {
-        let text = match self.engine(ctx) {
-            EngineMode::Streaming => {
-                run_streaming_with(ctx.scale.grid_reps, &ctx.opts)?.render()
-            }
-            EngineMode::Batch => run_with(ctx.scale.grid_reps, &ctx.opts)?.render(),
-        };
+        let text = run_with(ctx.scale.grid_reps, &ctx.opts)?.render();
         Ok(Report::text("fig1.txt", text))
     }
 }
@@ -57,23 +47,32 @@ pub struct Overview {
 /// Runs the full null-benchmark grid with `reps` repetitions per cell and
 /// summarizes the error distributions of Figure 1.
 ///
+/// Each cell folds into its exact error sample
+/// (`experiments::error_samples`), pooled per counting mode in cell order:
+/// the pools hold the same errors in the same order as the filtered records
+/// of [`Grid::run_with`], without holding a record.
+///
 /// # Errors
 ///
 /// Propagates grid failures and summary-statistics errors.
 pub fn run_with(reps: usize, opts: &RunOptions) -> Result<Overview> {
-    let grid = Grid::full_null(reps.max(1));
-    let records = grid.run_with(opts)?;
-    let user: Vec<f64> = records
-        .filtered(|r| r.config.mode == CountingMode::User)
-        .errors();
-    let user_kernel: Vec<f64> = records
-        .filtered(|r| r.config.mode == CountingMode::UserKernel)
-        .errors();
+    let cells = super::error_samples(&Grid::full_null(reps.max(1)), opts)?;
+    let (mut user, mut user_kernel) = (Vec::new(), Vec::new());
+    let mut measurements = 0;
+    for (config, sample) in cells {
+        measurements += sample.len();
+        let errors = sample.iter().map(|&e| e as f64);
+        match config.mode {
+            CountingMode::User => user.extend(errors),
+            CountingMode::UserKernel => user_kernel.extend(errors),
+            CountingMode::Kernel => {}
+        }
+    }
     if user.is_empty() || user_kernel.is_empty() {
         return Err(CoreError::NoData("fig1 overview"));
     }
     Ok(Overview {
-        measurements: records.len(),
+        measurements,
         user: Violin::from_slice(&user)?,
         user_summary: Summary::from_slice(&user)?,
         user_kernel: Violin::from_slice(&user_kernel)?,
@@ -81,102 +80,7 @@ pub fn run_with(reps: usize, opts: &RunOptions) -> Result<Overview> {
     })
 }
 
-/// The Figure 1 data computed by the **streaming engine**: identical
-/// summary numbers (within the documented P² tolerance for quartiles once
-/// the per-mode pools exceed the accumulator's exact window; the batch and
-/// streaming paths are property-tested against each other in
-/// `tests/streaming_equivalence.rs`), but `O(cells)` resident memory
-/// instead of `O(cells × reps)` records, and a [`StreamingHistogram`]
-/// density sketch in place of the exact KDE violin.
-#[derive(Debug, Clone)]
-pub struct StreamingOverview {
-    /// Number of measurements behind the figure.
-    pub measurements: usize,
-    /// User-mode descriptive summary.
-    pub user_summary: Summary,
-    /// User-mode error density sketch.
-    pub user_density: Histogram,
-    /// User+kernel descriptive summary.
-    pub user_kernel_summary: Summary,
-    /// User+kernel error density sketch.
-    pub user_kernel_density: Histogram,
-}
-
-/// [`run_with`] on the streaming engine: per-cell accumulators folded through
-/// [`Grid::run_fold`], pooled per counting mode in cell-enumeration order
-/// (so the pooling itself is deterministic at any worker count).
-///
-/// # Errors
-///
-/// Propagates grid failures and summary-statistics errors.
-pub fn run_streaming_with(reps: usize, opts: &RunOptions) -> Result<StreamingOverview> {
-    let grid = Grid::full_null(reps.max(1));
-    let cells = grid.run_fold(
-        opts,
-        |_| {
-            (
-                SummaryAccumulator::new(),
-                StreamingHistogram::new(HIST_BINS).expect("bin count is nonzero"),
-            )
-        },
-        |(summary, density), record| {
-            let error = record.error() as f64;
-            summary.push(error);
-            density.push(error);
-        },
-    )?;
-
-    let mut user = SummaryAccumulator::new();
-    let mut user_density = StreamingHistogram::new(HIST_BINS).expect("bin count is nonzero");
-    let mut user_kernel = SummaryAccumulator::new();
-    let mut user_kernel_density = StreamingHistogram::new(HIST_BINS).expect("bin count is nonzero");
-    let mut measurements = 0usize;
-    for (config, (summary, density)) in cells {
-        measurements += summary.count() as usize;
-        if config.mode == CountingMode::User {
-            user.merge(summary);
-            user_density.merge(density);
-        } else {
-            user_kernel.merge(summary);
-            user_kernel_density.merge(density);
-        }
-    }
-    if user.is_empty() || user_kernel.is_empty() {
-        return Err(CoreError::NoData("fig1 overview"));
-    }
-    Ok(StreamingOverview {
-        measurements,
-        user_summary: user.finish()?,
-        user_density: user_density.finish()?,
-        user_kernel_summary: user_kernel.finish()?,
-        user_kernel_density: user_kernel_density.finish()?,
-    })
-}
-
-/// Bin count of the streaming density sketches (matches the violin
-/// renderer's row count).
-const HIST_BINS: usize = 18;
-
-impl StreamingOverview {
-    /// Renders the figure as text (stats table plus density sketches).
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "Figure 1: Measurement Error in Instructions ({} measurements, streaming)\n\n",
-            self.measurements
-        );
-        out.push_str(&summary_table(
-            &self.user_summary,
-            &self.user_kernel_summary,
-        ));
-        out.push_str("\nUser mode error density:\n");
-        out.push_str(&report::histogram_text(&self.user_density, 50));
-        out.push_str("\nUser+OS mode error density:\n");
-        out.push_str(&report::histogram_text(&self.user_kernel_density, 50));
-        out
-    }
-}
-
-/// The min/quartile/max table shared by the batch and streaming renders.
+/// The min/quartile/max table of the render.
 fn summary_table(user: &Summary, user_kernel: &Summary) -> String {
     let srow = |name: &str, s: &Summary| -> Vec<String> {
         vec![
@@ -245,38 +149,6 @@ mod tests {
         assert!(text.contains("Figure 1"));
         assert!(text.contains("user+OS"));
         assert!(text.contains("IQR"));
-        assert!(text.contains('#'));
-    }
-
-    #[test]
-    fn streaming_matches_batch_overview() {
-        let batch = run_with(1, &RunOptions::default()).unwrap();
-        let stream = run_streaming_with(1, &RunOptions::default()).unwrap();
-        assert_eq!(stream.measurements, batch.measurements);
-        // Counts and extremes are exact; the pooled quartiles go through
-        // P² once a mode's pool exceeds the exact window, so compare at
-        // the documented figure-level tolerance (5% of the range).
-        for (s, b) in [
-            (&stream.user_summary, &batch.user_summary),
-            (&stream.user_kernel_summary, &batch.user_kernel_summary),
-        ] {
-            assert_eq!(s.n(), b.n());
-            assert_eq!(s.min(), b.min());
-            assert_eq!(s.max(), b.max());
-            assert!((s.mean() - b.mean()).abs() <= 1e-9 * b.mean().abs());
-            let tol = 0.05 * b.range();
-            assert!((s.median() - b.median()).abs() <= tol, "median");
-            assert!((s.q1() - b.q1()).abs() <= tol, "q1");
-            assert!((s.q3() - b.q3()).abs() <= tol, "q3");
-        }
-    }
-
-    #[test]
-    fn streaming_render_contains_sections() {
-        let o = run_streaming_with(1, &RunOptions::default()).unwrap();
-        let text = o.render();
-        assert!(text.contains("streaming"));
-        assert!(text.contains("user+OS"));
         assert!(text.contains('#'));
     }
 }

@@ -13,13 +13,13 @@
 //! The sweep runs on measurement sessions; its fresh-boot oracle
 //! ([`run_streaming_with`]) hands the same plan to the same runner, with
 //! one boot per run instead. The rendered table and the raw-record CSV
-//! are byte-identical across the two, any job count and `--stream`
-//! (pinned by `tests/golden_workload_csv.rs`).
+//! are byte-identical across the two and any job count (pinned by
+//! `tests/golden_workload_csv.rs`).
 
 use counterlab_cpu::hash::seed_combine;
 use counterlab_cpu::pmu::Event;
 use counterlab_cpu::uarch::Processor;
-use counterlab_stats::stream::SummaryAccumulator;
+use counterlab_stats::descriptive::Summary;
 
 use crate::benchmark::Benchmark;
 use crate::config::MeasurementConfig;
@@ -101,7 +101,7 @@ pub struct WorkloadRow {
     /// The event measured.
     pub event: Event,
     /// Error summary (measured − true count).
-    pub summary: counterlab_stats::descriptive::Summary,
+    pub summary: Summary,
 }
 
 /// The workload-accuracy result: the rendered rows plus the raw records
@@ -114,25 +114,25 @@ pub struct WorkloadFigure {
     pub records: Vec<Record>,
 }
 
-/// Folds the flat record sequence into per-(workload, event) rows.
+/// Summarizes the flat record sequence per (workload, event) class. The
+/// interface varies fastest in [`cells`], so each class is one contiguous
+/// run of `reps × interfaces` records, pooled in record order.
 fn aggregate(records: &[Record], reps: usize) -> Result<Vec<WorkloadRow>> {
-    let cells = cells();
-    let classes = Benchmark::zoo(WorkloadAccuracy::ITERS).len() * EVENTS.len();
-    let mut accs: Vec<SummaryAccumulator> = vec![SummaryAccumulator::new(); classes];
-    for (i, rec) in records.iter().enumerate() {
-        let cell = i / reps;
-        accs[cell / Interface::ALL.len()].push(rec.measured as f64 - rec.expected as f64);
-    }
-    let mut rows = Vec::with_capacity(classes);
-    for (class, acc) in accs.into_iter().enumerate() {
-        let (bench, event, _) = cells[class * Interface::ALL.len()];
-        rows.push(WorkloadRow {
-            benchmark: bench.name(),
-            event,
-            summary: acc.finish().map_err(crate::CoreError::from)?,
-        });
-    }
-    Ok(rows)
+    let per_class = reps * Interface::ALL.len();
+    let mut pool = Vec::with_capacity(per_class);
+    records
+        .chunks(per_class)
+        .zip(cells().into_iter().step_by(Interface::ALL.len()))
+        .map(|(class, (bench, event, _))| {
+            pool.clear();
+            pool.extend(class.iter().map(|rec| rec.measured as f64 - rec.expected as f64));
+            Ok(WorkloadRow {
+                benchmark: bench.name(),
+                event,
+                summary: Summary::from_slice(&pool)?,
+            })
+        })
+        .collect()
 }
 
 /// Runs the sweep: per-cell measurement sessions (one boot per stack per
@@ -149,9 +149,9 @@ pub fn run_with(reps: usize, opts: &RunOptions) -> Result<WorkloadFigure> {
 /// The fresh-boot oracle of [`run_with`]: the same plan (same cells, same
 /// per-run seeds, same runner) with one freshly booted stack per run
 /// instead of a session. The session ≡ fresh-boot bit-identity invariant
-/// makes the records equal: perfbench's `zoo_sweep` set-up and `repro
-/// bench` call it as the fresh-boot oracle. No CLI mode selects it; the
-/// name is kept for those callers.
+/// makes the records equal. Nothing here streams: the name predates the
+/// single statistics path and is kept because perfbench's `zoo_sweep`
+/// set-up and `repro bench` call the oracle by it.
 ///
 /// # Errors
 ///

@@ -13,8 +13,6 @@
 
 use counterlab_cpu::pmu::Event;
 use counterlab_cpu::uarch::Processor;
-use counterlab_stats::descriptive::Summary;
-use counterlab_stats::stream::SummaryAccumulator;
 
 use crate::benchmark::Benchmark;
 use crate::config::{MeasurementConfig, OptLevel};
@@ -259,9 +257,9 @@ impl Grid {
         self.plan(std::slice::from_ref(cell)).records(&RunOptions::sequential())
     }
 
-    /// Streams the whole grid into **one accumulator per cell** instead of
-    /// materializing `cells × reps` records: the streaming engine's main
-    /// entry point.
+    /// Folds the whole grid into **one accumulator per cell** instead of
+    /// materializing `cells × reps` records: the null-grid figures fold
+    /// each cell into its exact error sample this way.
     ///
     /// Each cell is one work item — its repetitions run in rep order on
     /// one worker's session (re-targeted from cell to cell as in
@@ -294,36 +292,6 @@ impl Grid {
         #[expect(clippy::indexing_slicing, reason = "the runner folds cells < cells.len()")]
         let accs = self.plan(&cells).fold(opts, |c| init(&cells[c]), step)?;
         Ok(cells.into_iter().zip(accs).collect())
-    }
-
-    /// Runs the grid and summarizes each cell's error distribution in one
-    /// pass: the streaming replacement for collecting records and calling
-    /// [`Summary::from_slice`](counterlab_stats::descriptive::Summary::from_slice)
-    /// per cell.
-    ///
-    /// # Errors
-    ///
-    /// Propagates measurement failures; [`crate::CoreError::NoData`] if
-    /// `reps == 0`.
-    pub fn run_summaries(&self, opts: &RunOptions) -> Result<Vec<CellSummary>> {
-        if self.reps == 0 {
-            return Err(crate::CoreError::NoData("grid with zero reps"));
-        }
-        let folded = self.run_fold(
-            opts,
-            |_| SummaryAccumulator::new(),
-            |acc, record| acc.push(record.error() as f64),
-        )?;
-        folded
-            .into_iter()
-            .map(|(config, acc)| {
-                Ok(CellSummary {
-                    summary: acc.finish().map_err(crate::CoreError::from)?,
-                    config,
-                    accumulator: acc,
-                })
-            })
-            .collect()
     }
 
     /// Streams the grid's records straight into CSV lines, in the exact
@@ -360,19 +328,6 @@ impl Grid {
             sink(&line);
         })
     }
-}
-
-/// One cell's streamed error summary: the per-cell output of
-/// [`Grid::run_summaries`].
-#[derive(Debug, Clone)]
-pub struct CellSummary {
-    /// The cell's canonical configuration (`seed = 0`).
-    pub config: MeasurementConfig,
-    /// The closed summary of the cell's `reps` error observations.
-    pub summary: Summary,
-    /// The still-mergeable accumulator behind the summary (pool cells by
-    /// merging these in cell order for deterministic group summaries).
-    pub accumulator: SummaryAccumulator,
 }
 
 /// Deterministic per-run seed from the base seed, the cell's identity and
@@ -473,28 +428,27 @@ mod tests {
     }
 
     #[test]
-    fn run_summaries_match_batch_per_cell() {
+    fn run_fold_samples_concatenate_to_run_with_errors() {
+        // The order law behind the null-grid figures' exact fold: per-cell
+        // samples, concatenated in cell order, are the record errors in
+        // record order, at any worker count (so any shard count too).
         let mut g = Grid::new(Benchmark::Null);
-        g.interfaces = vec![Interface::Pm, Interface::Pc];
-        g.patterns = vec![Pattern::StartRead, Pattern::ReadRead];
+        g.interfaces = vec![Interface::Pm, Interface::Pc, Interface::PLpc];
+        g.patterns = Pattern::ALL.to_vec();
+        g.modes = vec![CountingMode::User, CountingMode::UserKernel];
         g.reps = 5;
-        g.hz = 0;
-        let records = g.run().unwrap();
-        for jobs in [1, 4] {
-            let cells = g.run_summaries(&RunOptions::with_jobs(jobs)).unwrap();
+        let errors = g.run_with(&RunOptions::sequential()).unwrap().errors();
+        for jobs in [1, 2, 4] {
+            let cells = g
+                .run_fold(&RunOptions::with_jobs(jobs), |_| Vec::new(), |s: &mut Vec<i64>, r| {
+                    s.push(r.error());
+                })
+                .unwrap();
             assert_eq!(cells.len(), g.cell_count());
-            for (ci, cell) in cells.iter().enumerate() {
-                let batch: Vec<f64> = records[ci * g.reps..(ci + 1) * g.reps]
-                    .iter()
-                    .map(|r| r.error() as f64)
-                    .collect();
-                let expected =
-                    counterlab_stats::descriptive::Summary::from_slice(&batch).unwrap();
-                assert_eq!(cell.summary.n(), g.reps);
-                assert_eq!(cell.summary.median(), expected.median(), "cell {ci}");
-                assert_eq!(cell.summary.min(), expected.min());
-                assert_eq!(cell.summary.max(), expected.max());
-            }
+            assert!(cells.iter().map(|(c, _)| *c).eq(g.cells()), "jobs = {jobs}");
+            let pooled: Vec<f64> =
+                cells.iter().flat_map(|(_, s)| s.iter().map(|&e| e as f64)).collect();
+            assert_eq!(pooled, errors, "jobs = {jobs}");
         }
     }
 
@@ -575,16 +529,6 @@ mod tests {
             };
             assert_eq!(csv(&g), csv(&oracle), "jobs {jobs}");
         }
-    }
-
-    #[test]
-    fn run_summaries_zero_reps_is_no_data() {
-        let mut g = Grid::new(Benchmark::Null);
-        g.reps = 0;
-        assert!(matches!(
-            g.run_summaries(&RunOptions::sequential()),
-            Err(crate::CoreError::NoData(_))
-        ));
     }
 
     #[test]

@@ -134,20 +134,6 @@ pub fn violin_text(kde: &Kde, rows: usize, width: usize) -> String {
     out
 }
 
-/// Renders a histogram as horizontal ASCII bars, one row per bin (the
-/// streaming counterpart of [`violin_text`]: bin density instead of a
-/// KDE silhouette).
-pub fn histogram_text(h: &counterlab_stats::histogram::Histogram, width: usize) -> String {
-    let cmax = h.counts().iter().copied().max().unwrap_or(0).max(1);
-    let mut out = String::new();
-    for (i, &c) in h.counts().iter().enumerate() {
-        let bars = ((c as f64 / cmax as f64) * width as f64).round() as usize;
-        let mid = (h.bin_lo(i) + h.bin_hi(i)) / 2.0;
-        out.push_str(&format!("{mid:>14.1} |{}\n", "#".repeat(bars)));
-    }
-    out
-}
-
 /// Sketches a scatter plot: `points` are `(x, y)`; the canvas is
 /// `width × height` characters with `*` marks.
 pub fn scatter_text(points: &[(f64, f64)], width: usize, height: usize) -> String {

@@ -60,7 +60,7 @@ use std::time::{Duration, Instant};
 use crate::config::MeasurementConfig;
 use crate::counter::StatCounter;
 use crate::exec::{Priority, PriorityPool, RunOptions};
-use crate::experiment::{self, EngineMode, ExperimentCtx, Scale};
+use crate::experiment::{self, ExperimentCtx, Scale};
 use crate::fault::{DiskFault, FaultPlan, FaultWriter};
 use crate::grid::Grid;
 use crate::measure::Record;
@@ -743,11 +743,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<ServerShared>) {
             done
         }
         Request::Grid { grid, priority } => handle_grid(&mut writer, shared, &grid, priority),
-        Request::Experiment {
-            id,
-            scale,
-            streaming,
-        } => handle_experiment(&mut writer, &id, &scale, streaming),
+        Request::Experiment { id, scale } => handle_experiment(&mut writer, &id, &scale),
     };
     // Shed outcomes go out as the typed retryable BUSY; everything else
     // as a deterministic (fatal-to-retry) ERR. Either way the failure is
@@ -911,7 +907,7 @@ fn handle_grid<W: Write>(
     Ok(())
 }
 
-fn handle_experiment<W: Write>(writer: &mut W, id: &str, scale: &str, streaming: bool) -> Result<()> {
+fn handle_experiment<W: Write>(writer: &mut W, id: &str, scale: &str) -> Result<()> {
     let exp = experiment::find(id)
         .ok_or_else(|| CoreError::Protocol(format!("unknown experiment {id:?}")))?;
     let scale = Scale::from_name(scale)
@@ -921,11 +917,6 @@ fn handle_experiment<W: Write>(writer: &mut W, id: &str, scale: &str, streaming:
         // Sequential: grid work is what the shared pool is for; the
         // occasional served experiment must not oversubscribe it.
         opts: RunOptions::sequential(),
-        mode: if streaming {
-            EngineMode::Streaming
-        } else {
-            EngineMode::Batch
-        },
         ablations: Vec::new(),
     };
     let report = exp.run(&ctx)?;
@@ -1235,13 +1226,8 @@ pub fn request_shutdown_with(addr: &str, opts: &CallOptions) -> Result<()> {
 ///
 /// Connection and protocol failures, unknown ids/scales (as
 /// server-reported errors), experiment run failures.
-pub fn request_experiment(
-    addr: &str,
-    id: &str,
-    scale: &str,
-    streaming: bool,
-) -> Result<Vec<WireArtifact>> {
-    request_experiment_with(addr, id, scale, streaming, &CallOptions::default())
+pub fn request_experiment(addr: &str, id: &str, scale: &str) -> Result<Vec<WireArtifact>> {
+    request_experiment_with(addr, id, scale, &CallOptions::default())
 }
 
 /// [`request_experiment`] under an explicit retry policy.
@@ -1253,12 +1239,11 @@ pub fn request_experiment_with(
     addr: &str,
     id: &str,
     scale: &str,
-    streaming: bool,
     opts: &CallOptions,
 ) -> Result<Vec<WireArtifact>> {
     with_retry(opts, || {
         let (mut reader, mut writer) = split_stream(connect_with(addr, opts)?)?;
-        wire::write_experiment_request(&mut writer, id, scale, streaming).map_err(serr)?;
+        wire::write_experiment_request(&mut writer, id, scale).map_err(serr)?;
         writer.flush().map_err(serr)?;
         let head = wire::read_response_head(&mut reader)?;
         if head.kind != "report" {

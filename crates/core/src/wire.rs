@@ -545,8 +545,6 @@ pub enum Request {
         id: String,
         /// Scale preset name (e.g. `"quick"`).
         scale: String,
-        /// Whether to request the streaming engine.
-        streaming: bool,
     },
 }
 
@@ -576,22 +574,14 @@ pub fn write_plain_request<W: Write>(w: &mut W, verb: &str) -> io::Result<()> {
     writeln!(w, "{MAGIC} {verb}")
 }
 
-/// Writes an experiment request.
+/// Writes an experiment request. The frozen grammar still carries a
+/// `mode=` key; this client always writes `mode=batch`.
 ///
 /// # Errors
 ///
 /// Socket I/O errors.
-pub fn write_experiment_request<W: Write>(
-    w: &mut W,
-    id: &str,
-    scale: &str,
-    streaming: bool,
-) -> io::Result<()> {
-    writeln!(
-        w,
-        "{MAGIC} EXPERIMENT id={id} scale={scale} mode={}",
-        if streaming { "streaming" } else { "batch" }
-    )
+pub fn write_experiment_request<W: Write>(w: &mut W, id: &str, scale: &str) -> io::Result<()> {
+    writeln!(w, "{MAGIC} EXPERIMENT id={id} scale={scale} mode=batch")
 }
 
 /// Reads and parses one request (the server side of the handshake).
@@ -620,15 +610,15 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request> {
         "STATS" => Ok(Request::Stats),
         "PING" => Ok(Request::Ping),
         "SHUTDOWN" => Ok(Request::Shutdown),
-        "EXPERIMENT" => Ok(Request::Experiment {
-            id: kv_get(args, "id")?,
-            scale: kv_get(args, "scale")?,
-            streaming: match kv_get(args, "mode")?.as_str() {
-                "streaming" => true,
-                "batch" => false,
-                other => return Err(proto(format!("unknown engine mode {other:?}"))),
-            },
-        }),
+        "EXPERIMENT" => {
+            let (id, scale) = (kv_get(args, "id")?, kv_get(args, "scale")?);
+            // `mode=` stays in the frozen grammar: both values it ever
+            // allowed are accepted, and the one statistics path answers.
+            match kv_get(args, "mode")?.as_str() {
+                "streaming" | "batch" => Ok(Request::Experiment { id, scale }),
+                other => Err(proto(format!("unknown engine mode {other:?}"))),
+            }
+        }
         _ => Err(proto(format!("unknown request verb {verb:?}"))),
     }
 }
@@ -1462,7 +1452,7 @@ mod tests {
         write_plain_request(&mut buf, "STATS").unwrap();
         write_plain_request(&mut buf, "PING").unwrap();
         write_plain_request(&mut buf, "SHUTDOWN").unwrap();
-        write_experiment_request(&mut buf, "table1", "quick", true).unwrap();
+        write_experiment_request(&mut buf, "table1", "quick").unwrap();
         let mut r = io::BufReader::new(&buf[..]);
         let Request::Grid { grid, priority } = read_request(&mut r).unwrap() else {
             panic!("expected a GRID request")
@@ -1472,18 +1462,10 @@ mod tests {
         assert!(matches!(read_request(&mut r).unwrap(), Request::Stats));
         assert!(matches!(read_request(&mut r).unwrap(), Request::Ping));
         assert!(matches!(read_request(&mut r).unwrap(), Request::Shutdown));
-        let Request::Experiment {
-            id,
-            scale,
-            streaming,
-        } = read_request(&mut r).unwrap()
-        else {
+        let Request::Experiment { id, scale } = read_request(&mut r).unwrap() else {
             panic!("expected an EXPERIMENT request")
         };
-        assert_eq!(
-            (id.as_str(), scale.as_str(), streaming),
-            ("table1", "quick", true)
-        );
+        assert_eq!((id.as_str(), scale.as_str()), ("table1", "quick"));
         // EOF is a protocol error, not a hang or a default.
         assert!(read_request(&mut r).is_err());
     }

@@ -179,18 +179,18 @@ impl std::fmt::Display for AnovaTable {
 /// assert!(table.row("tool").unwrap().p_value < 1e-10);
 /// assert!(table.row("mode").unwrap().p_value > 0.05);
 /// ```
-/// Internally the builder is a **streaming accumulator**: it keeps only
-/// the grand moments (Welford) and per-factor level sums — constant
-/// memory in the observation count — so the experiment drivers can feed
-/// it record-by-record (or cell-by-cell via [`Anova::add_group`]) without
-/// materializing the response vector. Two partial accumulators over
-/// disjoint shards combine with [`Anova::merge`].
+/// Internally `Anova` keeps only the grand moments (Welford's update)
+/// and per-factor level sums — constant memory in the observation count —
+/// so the experiment drivers feed it observation by observation without
+/// materializing the response vector.
 #[derive(Debug, Clone)]
 pub struct Anova {
     factors: Vec<Factor>,
-    /// Grand response moments: n, mean and centered sum of squares (the
-    /// total SS) via Welford's update.
-    grand: crate::stream::Welford,
+    /// Grand response moments: count, mean and centered sum of squares
+    /// (the total SS), updated per observation by Welford's algorithm.
+    n: u64,
+    mean: f64,
+    m2: f64,
     /// Per factor: level → (response sum, count).
     level_sums: Vec<BTreeMap<usize, (f64, u64)>>,
 }
@@ -201,7 +201,9 @@ impl Anova {
         let level_sums = factors.iter().map(|_| BTreeMap::new()).collect();
         Anova {
             factors,
-            grand: crate::stream::Welford::new(),
+            n: 0,
+            mean: 0.0,
+            m2: 0.0,
             level_sums,
         }
     }
@@ -213,12 +215,12 @@ impl Anova {
 
     /// Number of observations added so far.
     pub fn len(&self) -> usize {
-        self.grand.count() as usize
+        self.n as usize
     }
 
     /// Whether no observations have been added.
     pub fn is_empty(&self) -> bool {
-        self.grand.count() == 0
+        self.n == 0
     }
 
     /// Validates a level vector against the declared factors.
@@ -251,61 +253,14 @@ impl Anova {
         if !response.is_finite() {
             return Err(StatsError::NonFinite);
         }
-        self.grand.push(response);
+        self.n += 1;
+        let delta = response - self.mean;
+        self.mean += delta / self.n as f64;
+        self.m2 += delta * (response - self.mean);
         for (fi, &l) in levels.iter().enumerate() {
             let e = self.level_sums[fi].entry(l).or_insert((0.0, 0));
             e.0 += response;
             e.1 += 1;
-        }
-        Ok(())
-    }
-
-    /// Adds a whole **group** of observations sharing one level vector,
-    /// described by its streamed [`crate::stream::Welford`] moments. This
-    /// is how the streaming experiment drivers feed a grid cell's
-    /// repetitions in one call: statistically identical to `n` individual
-    /// [`Anova::add`]s, up to float-summation rounding. An empty group is
-    /// a no-op.
-    ///
-    /// # Errors
-    ///
-    /// As [`Anova::add`]; a poisoned group (one that saw a non-finite
-    /// observation) is rejected with [`StatsError::NonFinite`].
-    pub fn add_group(&mut self, levels: &[usize], group: &crate::stream::Welford) -> Result<()> {
-        self.check_levels(levels)?;
-        if group.is_empty() {
-            return Ok(());
-        }
-        let mean = group.mean()?; // propagates the NonFinite poison
-        let n = group.count();
-        self.grand.merge(*group);
-        for (fi, &l) in levels.iter().enumerate() {
-            let e = self.level_sums[fi].entry(l).or_insert((0.0, 0));
-            e.0 += mean * n as f64;
-            e.1 += n;
-        }
-        Ok(())
-    }
-
-    /// Merges another accumulator over the **same factor declaration**
-    /// built from a disjoint shard of the observations.
-    ///
-    /// # Errors
-    ///
-    /// [`StatsError::InvalidParameter`] if the factor declarations differ.
-    pub fn merge(&mut self, other: Self) -> Result<()> {
-        if self.factors != other.factors {
-            return Err(StatsError::InvalidParameter(
-                "cannot merge ANOVAs over different factors",
-            ));
-        }
-        self.grand.merge(other.grand);
-        for (mine, theirs) in self.level_sums.iter_mut().zip(other.level_sums) {
-            for (level, (sum, count)) in theirs {
-                let e = mine.entry(level).or_insert((0.0, 0));
-                e.0 += sum;
-                e.1 += count;
-            }
         }
         Ok(())
     }
@@ -322,9 +277,10 @@ impl Anova {
             return Err(StatsError::EmptyInput);
         }
         let n = self.len();
-        let grand_mean = self.grand.mean()?;
-        // Welford's centered second moment *is* the total sum of squares.
-        let total_sum_sq = self.grand.population_variance()? * n as f64;
+        let grand_mean = self.mean;
+        // Welford's centered second moment *is* the total sum of squares
+        // (kept as population variance times n, bit for bit).
+        let total_sum_sq = self.m2 / n as f64 * n as f64;
 
         let mut rows = Vec::with_capacity(self.factors.len());
         let mut factor_ss_sum = 0.0;
@@ -502,106 +458,5 @@ mod tests {
         assert!(text.contains("Pr(>F)"));
         assert!(text.contains("residuals"));
         assert!(text.contains("infra"));
-    }
-
-    /// Rebuilds `two_factor_data` through grouped pushes: per unique level
-    /// vector one Welford accumulator, added via `add_group`.
-    fn grouped_two_factor_data() -> Anova {
-        let mut anova = Anova::new(vec![
-            Factor::new("infra", ["pm", "pc", "papi"]),
-            Factor::new("opt", ["O0", "O1"]),
-        ]);
-        let mut groups: std::collections::BTreeMap<(usize, usize), crate::stream::Welford> =
-            std::collections::BTreeMap::new();
-        for rep in 0..10 {
-            let j = (rep as f64 - 4.5) * 0.2;
-            for (ii, base) in [(0usize, 0.0), (1, 100.0), (2, 200.0)] {
-                for oi in 0..2usize {
-                    groups.entry((ii, oi)).or_default().push(base + j);
-                }
-            }
-        }
-        for ((a, b), w) in groups {
-            anova.add_group(&[a, b], &w).unwrap();
-        }
-        anova
-    }
-
-    #[test]
-    fn add_group_matches_individual_adds() {
-        let individual = two_factor_data().run().unwrap();
-        let grouped = grouped_two_factor_data().run().unwrap();
-        assert_eq!(grouped.n(), individual.n());
-        for row in individual.rows() {
-            let g = grouped.row(&row.factor).unwrap();
-            assert_eq!(g.df, row.df);
-            assert!(
-                (g.sum_sq - row.sum_sq).abs() <= 1e-9 * row.sum_sq.max(1.0),
-                "{}: {} vs {}",
-                row.factor,
-                g.sum_sq,
-                row.sum_sq
-            );
-            assert!((g.f_value - row.f_value).abs() <= 1e-6 * row.f_value.max(1.0));
-        }
-        let rel = (grouped.total_sum_sq() - individual.total_sum_sq()).abs()
-            / individual.total_sum_sq();
-        assert!(rel <= 1e-9);
-    }
-
-    #[test]
-    fn merge_matches_single_accumulator() {
-        // Shard the same observations across two accumulators.
-        let factors = || {
-            vec![
-                Factor::new("infra", ["pm", "pc"]),
-                Factor::new("mode", ["user", "os"]),
-            ]
-        };
-        let mut whole = Anova::new(factors());
-        let mut a = Anova::new(factors());
-        let mut b = Anova::new(factors());
-        for rep in 0..40 {
-            let y = 5.0 + (rep % 7) as f64;
-            let levels = [rep % 2, (rep / 2) % 2];
-            whole.add(&levels, y).unwrap();
-            if rep % 2 == 0 {
-                a.add(&levels, y).unwrap();
-            } else {
-                b.add(&levels, y).unwrap();
-            }
-        }
-        a.merge(b).unwrap();
-        let (ta, tw) = (a.run().unwrap(), whole.run().unwrap());
-        assert_eq!(ta.n(), tw.n());
-        assert!((ta.total_sum_sq() - tw.total_sum_sq()).abs() <= 1e-9 * tw.total_sum_sq());
-        for row in tw.rows() {
-            let r = ta.row(&row.factor).unwrap();
-            assert!((r.sum_sq - row.sum_sq).abs() <= 1e-9 * row.sum_sq.max(1.0));
-        }
-    }
-
-    #[test]
-    fn merge_rejects_mismatched_factors() {
-        let mut a = Anova::new(vec![Factor::new("x", ["1", "2"])]);
-        let b = Anova::new(vec![Factor::new("y", ["1", "2"])]);
-        assert!(a.merge(b).is_err());
-    }
-
-    #[test]
-    fn add_group_rejects_poisoned_and_bad_levels() {
-        let mut anova = Anova::new(vec![Factor::new("x", ["1", "2"])]);
-        let mut poisoned = crate::stream::Welford::new();
-        poisoned.push(f64::NAN);
-        assert_eq!(
-            anova.add_group(&[0], &poisoned),
-            Err(StatsError::NonFinite)
-        );
-        let mut ok = crate::stream::Welford::new();
-        ok.push(1.0);
-        assert!(anova.add_group(&[5], &ok).is_err());
-        // Empty group is a no-op.
-        anova.add_group(&[0], &crate::stream::Welford::new()).unwrap();
-        assert!(anova.is_empty());
     }
 }

@@ -35,12 +35,6 @@ impl ConfidenceInterval {
     pub fn contains(&self, v: f64) -> bool {
         (self.lo..=self.hi).contains(&v)
     }
-
-    /// Whether two intervals overlap (a conservative “not significantly
-    /// different” check).
-    pub fn overlaps(&self, other: &ConfidenceInterval) -> bool {
-        self.lo <= other.hi && other.lo <= self.hi
-    }
 }
 
 impl std::fmt::Display for ConfidenceInterval {
@@ -129,18 +123,10 @@ pub fn median_ci(xs: &[f64], resamples: usize, level: f64, seed: u64) -> Result<
     bootstrap_ci(xs, crate::quantile::median, resamples, level, seed)
 }
 
-/// Convenience: bootstrap CI of the mean.
-///
-/// # Errors
-///
-/// As [`bootstrap_ci`].
-pub fn mean_ci(xs: &[f64], resamples: usize, level: f64, seed: u64) -> Result<ConfidenceInterval> {
-    bootstrap_ci(xs, crate::descriptive::mean, resamples, level, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::descriptive::mean;
 
     fn spread_sample() -> Vec<f64> {
         (0..200).map(|i| ((i * 7919) % 100) as f64).collect()
@@ -164,8 +150,8 @@ mod tests {
     #[test]
     fn wider_level_wider_interval() {
         let xs = spread_sample();
-        let narrow = mean_ci(&xs, 400, 0.80, 7).unwrap();
-        let wide = mean_ci(&xs, 400, 0.99, 7).unwrap();
+        let narrow = bootstrap_ci(&xs, mean, 400, 0.80, 7).unwrap();
+        let wide = bootstrap_ci(&xs, mean, 400, 0.99, 7).unwrap();
         assert!(wide.width() >= narrow.width());
     }
 
@@ -173,8 +159,8 @@ mod tests {
     fn more_data_tighter_interval() {
         let small: Vec<f64> = (0..20).map(|i| ((i * 7919) % 100) as f64).collect();
         let large: Vec<f64> = (0..2000).map(|i| ((i * 7919) % 100) as f64).collect();
-        let ci_small = mean_ci(&small, 400, 0.95, 7).unwrap();
-        let ci_large = mean_ci(&large, 400, 0.95, 7).unwrap();
+        let ci_small = bootstrap_ci(&small, mean, 400, 0.95, 7).unwrap();
+        let ci_large = bootstrap_ci(&large, mean, 400, 0.95, 7).unwrap();
         assert!(ci_large.width() < ci_small.width());
     }
 
@@ -187,31 +173,6 @@ mod tests {
         let c = median_ci(&xs, 200, 0.95, 4).unwrap();
         // Different seed: same point, probably different bounds.
         assert_eq!(a.point, c.point);
-    }
-
-    #[test]
-    fn overlap_semantics() {
-        let a = ConfidenceInterval {
-            point: 1.0,
-            lo: 0.0,
-            hi: 2.0,
-            level: 0.95,
-        };
-        let b = ConfidenceInterval {
-            point: 3.0,
-            lo: 1.5,
-            hi: 4.0,
-            level: 0.95,
-        };
-        let c = ConfidenceInterval {
-            point: 9.0,
-            lo: 5.0,
-            hi: 10.0,
-            level: 0.95,
-        };
-        assert!(a.overlaps(&b));
-        assert!(b.overlaps(&a));
-        assert!(!a.overlaps(&c));
     }
 
     #[test]

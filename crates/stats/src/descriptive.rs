@@ -11,11 +11,6 @@ use crate::{Result, StatsError};
 /// Returns [`StatsError::EmptyInput`] for an empty slice and
 /// [`StatsError::NonFinite`] if any value is NaN or infinite.
 ///
-/// This is the **shared batch/streaming contract**: the streaming
-/// [`crate::stream::Welford::mean`] returns exactly the same errors for
-/// the same inputs (`n = 0` → `EmptyInput`, any non-finite observation →
-/// `NonFinite`), so the two paths are drop-in interchangeable.
-///
 /// # Examples
 ///
 /// ```
@@ -39,16 +34,9 @@ pub fn mean(xs: &[f64]) -> Result<f64> {
 /// [`StatsError::NonFinite`] for non-finite input, and
 /// [`StatsError::InvalidParameter`] if the sample has fewer than two points.
 ///
-/// This is the **shared batch/streaming contract**: the streaming
-/// [`crate::stream::Welford::variance`] returns exactly the same errors
-/// for the same inputs (`n = 0` → `EmptyInput`, `n = 1` →
-/// `InvalidParameter`, any non-finite observation → `NonFinite`). Note
-/// the distinct singleton conventions, identical on both paths: the
-/// strict `variance`/[`crate::stream::Welford::variance`] accessors
-/// reject `n = 1`, while the whole-sample summaries
-/// ([`Summary::from_slice`] and [`crate::stream::Welford::finish`] /
-/// [`crate::stream::SummaryAccumulator::finish`]) report a standard
-/// deviation of `0.0` for a singleton.
+/// Note the singleton convention: this strict estimator rejects `n = 1`,
+/// while [`Summary::from_slice`] reports a standard deviation of `0.0`
+/// for a singleton.
 pub fn variance(xs: &[f64]) -> Result<f64> {
     check_sample(xs)?;
     if xs.len() < 2 {
@@ -157,31 +145,6 @@ impl Summary {
             q3: q(0.75)?,
             max: sorted[sorted.len() - 1],
         })
-    }
-
-    /// Assembles a summary from already-computed parts (the closing step
-    /// of [`crate::stream::SummaryAccumulator::finish`]).
-    #[expect(clippy::too_many_arguments, reason = "one argument per Summary field")]
-    pub(crate) fn from_parts(
-        n: usize,
-        mean: f64,
-        std_dev: f64,
-        min: f64,
-        q1: f64,
-        median: f64,
-        q3: f64,
-        max: f64,
-    ) -> Self {
-        Summary {
-            n,
-            mean,
-            std_dev,
-            min,
-            q1,
-            median,
-            q3,
-            max,
-        }
     }
 
     /// Number of observations.
@@ -313,6 +276,15 @@ mod tests {
         assert_eq!(s.median(), 42.0);
         assert_eq!(s.std_dev(), 0.0);
         assert_eq!(s.range(), 0.0);
+    }
+
+    #[test]
+    fn empty_and_nonfinite_samples_are_rejected() {
+        assert_eq!(variance(&[]), Err(StatsError::EmptyInput));
+        assert_eq!(Summary::from_slice(&[]), Err(StatsError::EmptyInput));
+        let poisoned = [1.0, f64::NAN, 2.0];
+        assert_eq!(mean(&poisoned), Err(StatsError::NonFinite));
+        assert_eq!(Summary::from_slice(&poisoned), Err(StatsError::NonFinite));
     }
 
     #[test]

@@ -164,12 +164,6 @@ impl NormalDistribution {
         self.sd
     }
 
-    /// Probability density function at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        let z = (x - self.mean) / self.sd;
-        (-0.5 * z * z).exp() / (self.sd * (2.0 * std::f64::consts::PI).sqrt())
-    }
-
     /// Cumulative distribution function at `x`.
     pub fn cdf(&self, x: f64) -> f64 {
         let z = (x - self.mean) / (self.sd * std::f64::consts::SQRT_2);
@@ -290,14 +284,6 @@ mod tests {
         assert!((n.cdf(0.0) - 0.5).abs() < 1e-12);
         assert!((n.cdf(1.96) - 0.975).abs() < 1e-3);
         assert!((n.cdf(-1.96) - 0.025).abs() < 1e-3);
-    }
-
-    #[test]
-    fn normal_pdf_peak() {
-        let n = NormalDistribution::new(2.0, 0.5).unwrap();
-        assert!(n.pdf(2.0) > n.pdf(2.4));
-        assert!(n.pdf(2.0) > n.pdf(1.6));
-        assert!((n.pdf(2.0) - 1.0 / (0.5 * (2.0 * std::f64::consts::PI).sqrt())).abs() < 1e-12);
     }
 
     #[test]

@@ -41,12 +41,10 @@ pub mod bootstrap;
 pub mod boxplot;
 pub mod descriptive;
 pub mod dist;
-pub mod histogram;
 pub mod kde;
 pub mod quantile;
 pub mod regression;
 pub mod special;
-pub mod stream;
 pub mod violin;
 
 mod error;
@@ -60,11 +58,9 @@ pub mod prelude {
     pub use crate::boxplot::BoxPlot;
     pub use crate::descriptive::Summary;
     pub use crate::dist::{FDistribution, NormalDistribution};
-    pub use crate::histogram::Histogram;
     pub use crate::kde::Kde;
     pub use crate::quantile::{median, quantile};
     pub use crate::regression::LinearFit;
-    pub use crate::stream::{P2Quantile, StreamingHistogram, SummaryAccumulator, Welford};
     pub use crate::violin::Violin;
     pub use crate::StatsError;
 }

@@ -7,7 +7,6 @@
 //! Figure 9. [`LinearFit`] provides those slopes plus the usual inference
 //! statistics.
 
-use crate::dist::TDistribution;
 use crate::{Result, StatsError};
 
 /// Result of fitting `y = intercept + slope * x` by ordinary least squares.
@@ -126,31 +125,6 @@ impl LinearFit {
     pub fn slope_std_err(&self) -> f64 {
         self.slope_std_err
     }
-
-    /// Predicted `y` at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.intercept + self.slope * x
-    }
-
-    /// Two-sided p-value for the null hypothesis `slope == 0`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error only when the fit has fewer than three points (no
-    /// residual degrees of freedom).
-    pub fn slope_p_value(&self) -> Result<f64> {
-        if self.n < 3 {
-            return Err(StatsError::InvalidParameter(
-                "slope test requires at least three points",
-            ));
-        }
-        if self.slope_std_err == 0.0 {
-            // Perfect fit: the slope is exactly determined.
-            return Ok(if self.slope == 0.0 { 1.0 } else { 0.0 });
-        }
-        let t = self.slope / self.slope_std_err;
-        TDistribution::new(self.n as f64 - 2.0)?.two_sided_p(t)
-    }
 }
 
 impl std::fmt::Display for LinearFit {
@@ -219,35 +193,6 @@ mod tests {
             LinearFit::fit(&[1.0, 2.0], &[1.0]),
             Err(StatsError::LengthMismatch { left: 2, right: 1 })
         ));
-    }
-
-    #[test]
-    fn predict_interpolates() {
-        let fit = LinearFit::fit(&[0.0, 10.0], &[0.0, 100.0]).unwrap();
-        assert!((fit.predict(5.0) - 50.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn significant_slope_p_value() {
-        let x: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        let y: Vec<f64> = x
-            .iter()
-            .enumerate()
-            .map(|(i, v)| 0.002 * v + if i % 2 == 0 { 1e-4 } else { -1e-4 })
-            .collect();
-        let fit = LinearFit::fit(&x, &y).unwrap();
-        assert!(fit.slope_p_value().unwrap() < 1e-10);
-    }
-
-    #[test]
-    fn insignificant_slope_p_value() {
-        // Pure alternating noise, no trend.
-        let x: Vec<f64> = (0..40).map(|i| i as f64).collect();
-        let y: Vec<f64> = (0..40)
-            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        let fit = LinearFit::fit(&x, &y).unwrap();
-        assert!(fit.slope_p_value().unwrap() > 0.2);
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! Registry conformance: every experiment in
 //! [`counterlab::experiment::registry`] honors the API contract the CLI
-//! is built on — stable unique ids and artifact names, truthful
-//! streaming capability, ablations with unique owners — and actually
-//! runs at smoke scale through a memory sink in every engine mode it
-//! claims to support.
+//! is built on — stable unique ids and artifact names, ablations with
+//! unique owners — and actually runs at smoke scale through a memory
+//! sink, with output independent of the worker count.
 
 use counterlab::exec::RunOptions;
 use counterlab::experiment::{
-    ablation_owner, registry, ArtifactKind, EngineMode, Experiment, ExperimentCtx, MemorySink,
-    Scale,
+    ablation_owner, registry, ArtifactKind, Experiment, ExperimentCtx, MemorySink, Scale,
 };
 
 /// The documented command list, in `repro all` emission order. A new
@@ -36,10 +34,8 @@ const DOCUMENTED_IDS: [&str; 19] = [
     "csv",
 ];
 
-fn smoke_ctx(mode: EngineMode, jobs: usize) -> ExperimentCtx {
-    ExperimentCtx::new(Scale::quick())
-        .with_opts(RunOptions::with_jobs(jobs))
-        .with_mode(mode)
+fn smoke_ctx(jobs: usize) -> ExperimentCtx {
+    ExperimentCtx::new(Scale::quick()).with_opts(RunOptions::with_jobs(jobs))
 }
 
 /// Runs `exp` under `ctx` and collects its artifacts.
@@ -47,9 +43,9 @@ fn run_into_sink(exp: &dyn Experiment, ctx: &ExperimentCtx) -> MemorySink {
     let id = exp.id();
     let mut sink = MemorySink::new();
     exp.run(ctx)
-        .unwrap_or_else(|e| panic!("{id} failed {:?} smoke run: {e}", ctx.mode))
+        .unwrap_or_else(|e| panic!("{id} failed its smoke run: {e}"))
         .emit(&mut sink)
-        .unwrap_or_else(|e| panic!("{id} failed to emit {:?}: {e}", ctx.mode));
+        .unwrap_or_else(|e| panic!("{id} failed to emit: {e}"));
     sink
 }
 
@@ -90,18 +86,17 @@ fn ablation_flags_have_unique_owners() {
     }
 }
 
-/// Every experiment runs at smoke scale through a [`MemorySink`] in both
-/// engine modes it claims to support; artifact names are unique across
-/// the whole registry and stable across runs; streaming-incapable
-/// experiments ignore a streaming request bit-for-bit; and in either mode
-/// every artifact is byte-identical at one and at four workers.
+/// Every experiment runs at smoke scale through a [`MemorySink`] on its
+/// one statistics path; artifact names are unique across the whole
+/// registry and stable across runs; and every artifact is byte-identical
+/// at one and at four workers.
 #[test]
 fn every_experiment_runs_at_smoke_scale_in_claimed_modes() {
     let mut seen_names: Vec<&'static str> = Vec::new();
     for &exp in registry() {
         let id = exp.id();
 
-        let batch = run_into_sink(exp, &smoke_ctx(EngineMode::Batch, 1));
+        let batch = run_into_sink(exp, &smoke_ctx(1));
         assert!(!batch.artifacts.is_empty(), "{id}: empty report");
         for artifact in &batch.artifacts {
             assert!(
@@ -120,39 +115,19 @@ fn every_experiment_runs_at_smoke_scale_in_claimed_modes() {
         }
 
         // A second batch run is byte-identical (fixed seeds).
-        let again = run_into_sink(exp, &smoke_ctx(EngineMode::Batch, 1));
+        let again = run_into_sink(exp, &smoke_ctx(1));
         assert_eq!(
             again.artifacts, batch.artifacts,
             "{id}: batch run not deterministic"
         );
 
-        // The streaming ctx: a real streaming run when claimed, a
-        // byte-identical batch run when not (the mode must be ignored,
-        // not half-applied).
-        let stream = run_into_sink(exp, &smoke_ctx(EngineMode::Streaming, 1));
-        let names = |sink: &MemorySink| -> Vec<&'static str> {
-            sink.artifacts.iter().map(|a| a.name).collect()
-        };
-        assert_eq!(names(&stream), names(&batch), "{id}: artifact names differ by mode");
-        if !exp.capabilities().streaming {
-            assert_eq!(
-                stream.artifacts, batch.artifacts,
-                "{id}: claims batch-only but a streaming request changed its output"
-            );
-        }
-
         // Every fold is per cell, so no artifact depends on the worker
-        // count, in either mode.
-        for (mode, one) in [
-            (EngineMode::Batch, &batch),
-            (EngineMode::Streaming, &stream),
-        ] {
-            let four = run_into_sink(exp, &smoke_ctx(mode, 4));
-            assert_eq!(
-                four.artifacts, one.artifacts,
-                "{id}: {mode:?} output differs between --jobs 1 and --jobs 4"
-            );
-        }
+        // count.
+        let four = run_into_sink(exp, &smoke_ctx(4));
+        assert_eq!(
+            four.artifacts, batch.artifacts,
+            "{id}: output differs between --jobs 1 and --jobs 4"
+        );
     }
 }
 
@@ -164,12 +139,12 @@ fn declared_ablations_change_output() {
     for exp in registry() {
         for a in exp.capabilities().ablations {
             let mut plain = MemorySink::new();
-            exp.run(&smoke_ctx(EngineMode::Batch, 2))
+            exp.run(&smoke_ctx(2))
                 .unwrap()
                 .emit(&mut plain)
                 .unwrap();
             let mut ablated = MemorySink::new();
-            exp.run(&smoke_ctx(EngineMode::Batch, 2).with_ablation(a.flag))
+            exp.run(&smoke_ctx(2).with_ablation(a.flag))
                 .unwrap()
                 .emit(&mut ablated)
                 .unwrap();

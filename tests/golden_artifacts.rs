@@ -1,9 +1,10 @@
-//! Every artifact's bytes, pinned: one line per (scale, engine mode,
-//! artifact) of every registered experiment, holding the artifact's byte
-//! length and a [`StreamHasher`] digest of its content.
+//! Every artifact's bytes, pinned: one line per (scale, artifact) of every
+//! registered experiment, holding the artifact's byte length and a
+//! [`StreamHasher`] digest of its content.
 //!
-//! The scales are `quick` and `standard`, the modes batch and `--stream`;
-//! `csv` runs at both scales like every other experiment. Each run uses an
+//! The scales are `quick` and `standard`; `csv` runs at both scales like
+//! every other experiment. The second column names the one statistics
+//! path, `batch`, as it always has. Each run uses an
 //! explicit worker count, so `COUNTERLAB_JOBS` cannot matter (the registry
 //! suite separately checks that the worker count changes nothing).
 //!
@@ -17,7 +18,7 @@
 
 use counterlab::cpu::hash::StreamHasher;
 use counterlab::exec::RunOptions;
-use counterlab::experiment::{registry, EngineMode, ExperimentCtx, MemorySink, Scale};
+use counterlab::experiment::{registry, ExperimentCtx, MemorySink, Scale};
 
 const GOLDEN_PATH: &str = "tests/golden/artifacts.txt";
 const GOLDEN: &str = include_str!("golden/artifacts.txt");
@@ -25,18 +26,12 @@ const GOLDEN: &str = include_str!("golden/artifacts.txt");
 /// Worker count of every run.
 const JOBS: usize = 2;
 
-/// `<scale> <mode> <artifact> <bytes> <digest>` for every artifact of
-/// every registered experiment at `scale` in `mode`.
-fn digests(scale: &str, mode: EngineMode, out: &mut String) {
-    let mode_name = match mode {
-        EngineMode::Batch => "batch",
-        EngineMode::Streaming => "stream",
-    };
+/// `<scale> batch <artifact> <bytes> <digest>` for every artifact of
+/// every registered experiment at `scale`.
+fn digests(scale: &str, out: &mut String) {
     let preset = Scale::from_name(scale).expect("a named preset");
     for exp in registry() {
-        let ctx = ExperimentCtx::new(preset)
-            .with_opts(RunOptions::with_jobs(JOBS))
-            .with_mode(mode);
+        let ctx = ExperimentCtx::new(preset).with_opts(RunOptions::with_jobs(JOBS));
         let mut sink = MemorySink::new();
         let report = exp.run(&ctx).unwrap_or_else(|e| panic!("{}: {e}", exp.id()));
         report
@@ -46,7 +41,7 @@ fn digests(scale: &str, mode: EngineMode, out: &mut String) {
             let mut h = StreamHasher::new(0);
             h.write_str(&artifact.content);
             out.push_str(&format!(
-                "{scale} {mode_name} {} {} {:016x}\n",
+                "{scale} batch {} {} {:016x}\n",
                 artifact.name,
                 artifact.content.len(),
                 h.finish()
@@ -59,9 +54,7 @@ fn digests(scale: &str, mode: EngineMode, out: &mut String) {
 fn every_artifact_matches_its_pinned_digest() {
     let mut got = String::new();
     for scale in ["quick", "standard"] {
-        for mode in [EngineMode::Batch, EngineMode::Streaming] {
-            digests(scale, mode, &mut got);
-        }
+        digests(scale, &mut got);
     }
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         std::fs::write(GOLDEN_PATH, &got).expect("write golden file");

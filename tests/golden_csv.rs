@@ -47,13 +47,13 @@ fn golden_csv_is_stable_across_jobs_and_stream() {
     let jobs1 = report::records_to_csv(&g.run_with(&RunOptions::with_jobs(1)).unwrap());
     let jobs4 = report::records_to_csv(&g.run_with(&RunOptions::with_jobs(4)).unwrap());
 
-    // Streaming engine.
+    // The streamed CSV writer (bounded memory, `repro csv`'s path).
     let mut streamed = String::new();
     g.run_csv(&RunOptions::with_jobs(4), |line| streamed.push_str(line))
         .unwrap();
 
     assert_eq!(jobs1, jobs4, "--jobs 4 diverged from --jobs 1");
-    assert_eq!(jobs1, streamed, "--stream diverged from --jobs 1");
+    assert_eq!(jobs1, streamed, "streamed CSV diverged from --jobs 1");
 
     // The fresh-boot oracle through the same CSV writer.
     let mut oracle = golden_grid();

@@ -8,10 +8,13 @@
 //! ephemeral port, and verify the failure paths (poisoned disk entries,
 //! invalid grids) degrade loudly instead of serving garbage.
 
+use std::io::{BufReader, Write};
 use std::thread;
+use std::time::Duration;
 
 use counterlab::benchmark::Benchmark;
 use counterlab::exec::{Priority, RunOptions};
+use counterlab::experiment::{find, ExperimentCtx, MemorySink, Scale};
 use counterlab::grid::Grid;
 use counterlab::interface::{CountingMode, Interface};
 use counterlab::pattern::Pattern;
@@ -176,4 +179,49 @@ fn zero_counter_grid_is_a_typed_error_over_the_wire() {
     );
     serve::request_ping(&addr).expect("server healthy after the error");
     drop(server); // Drop stops the accept loop and joins the handlers.
+}
+
+/// Sends one raw request line over a fresh socket and reads the report
+/// it answers with.
+fn raw_report(addr: &str, request: &str) -> counterlab::Result<Vec<wire::WireArtifact>> {
+    #[expect(clippy::disallowed_methods, reason = "deadlines are armed before any I/O")]
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(120))).expect("read deadline");
+    stream.set_write_timeout(Some(Duration::from_secs(120))).expect("write deadline");
+    let mut writer = stream.try_clone().expect("clone socket");
+    writeln!(writer, "{request}").expect("send request");
+    let mut reader = BufReader::new(stream);
+    let head = wire::read_response_head(&mut reader)?;
+    assert_eq!(head.kind, "report");
+    wire::read_artifacts(&mut reader)
+}
+
+/// The frozen `COUNTD/1` grammar keeps its `mode=` key: `streaming`, the
+/// value older clients send, is answered by the one statistics path with
+/// exactly the bytes `batch` gets (and a local run produces), and any
+/// other value is still a protocol error.
+#[test]
+fn experiment_mode_key_accepts_both_legacy_values() {
+    let server = spawn(1, None);
+    let addr = server.addr().to_string();
+    let batch = raw_report(&addr, "COUNTD/1 EXPERIMENT id=fig1 scale=quick mode=batch")
+        .expect("batch request");
+    let streaming = raw_report(&addr, "COUNTD/1 EXPERIMENT id=fig1 scale=quick mode=streaming")
+        .expect("streaming request");
+    assert_eq!(streaming, batch, "mode=streaming must get the batch bytes");
+
+    let mut local = MemorySink::new();
+    let ctx = ExperimentCtx::new(Scale::quick()).with_opts(RunOptions::sequential());
+    let report = find("fig1").expect("registered").run(&ctx).expect("local fig1");
+    report.emit(&mut local).expect("emit");
+    assert_eq!(batch.len(), 1);
+    assert_eq!(batch[0].name, "fig1.txt");
+    assert_eq!(batch[0].content, local.artifacts[0].content, "served fig1 differs from local");
+
+    let err = raw_report(&addr, "COUNTD/1 EXPERIMENT id=fig1 scale=quick mode=sketch")
+        .expect_err("an unknown mode must be refused");
+    let is_protocol = matches!(err, counterlab::CoreError::Protocol(_));
+    assert!(is_protocol && err.to_string().contains("engine mode"), "{err}");
+    serve::request_ping(&addr).expect("server healthy after the error");
+    drop(server);
 }

@@ -147,7 +147,7 @@ proptest! {
         }
     }
 
-    /// The per-cell fold (the streaming engine's backbone) sees the very
+    /// The per-cell fold (the null-grid figures' exact samples) sees the very
     /// same record stream on both paths.
     #[test]
     fn grid_fold_bit_identical(grid in arb_grid()) {
