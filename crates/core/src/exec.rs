@@ -13,15 +13,16 @@
 //! for the whole call. [`run_cell_chunked`] runs blocks of a cell's
 //! repetitions on it against a per-block state built from the worker's
 //! previous one, and returns the results in flat `cell × repetition`
-//! order at any worker count. [`run_indexed`] is its one-repetition,
-//! stateless special case.
+//! order at any worker count — and, through [`run_cell_chunked_from`],
+//! whatever order the cells ran in. [`run_indexed`] is its
+//! one-repetition, stateless special case.
 //!
 //! Measurement sweeps do not call the cell engine themselves: they hand a
 //! [`Plan`](crate::sweep::Plan) to the one sweep runner,
 //! [`crate::sweep`], which makes each block's state a measurement session
-//! re-targeted instead of booted, so a worker boots each simulated stack
-//! once, not once per cell. A clippy `disallowed-methods` rule keeps it
-//! that way.
+//! re-targeted instead of booted and runs the cells grouped by stack, so a
+//! worker boots each simulated stack once, not once per cell. A clippy
+//! `disallowed-methods` rule keeps it that way.
 //!
 //! Everywhere, the first failure (by index, not by wall clock) is
 //! propagated after in-flight work drains. At most one state lives per
@@ -264,7 +265,7 @@ where
     N: Fn(Option<S>, usize, usize) -> Result<S> + Sync,
     F: Fn(&mut S, usize) -> Result<T> + Sync,
 {
-    run_cell_chunked_from(&mut Vec::new(), cells, reps, block, opts, state, work)
+    run_cell_chunked_from(&mut Vec::new(), None, cells, reps, block, opts, state, work)
 }
 
 /// [`run_cell_chunked`] for a driver that calls the engine repeatedly
@@ -273,11 +274,22 @@ where
 /// `carried` holds the workers' last states afterwards (after a failure,
 /// none).
 ///
+/// `order`, when given, is the order the cells run in: a permutation of
+/// `0..cells`, whose position `p` names the cell that runs `p`-th. The
+/// sweep runner runs a plan's cells grouped by stack this way, so that
+/// consecutive blocks share a session. The results still come back in
+/// `cell × repetition` order: each cell's results are swapped into place
+/// along the permutation's cycles, with no second buffer.
+///
 /// # Errors
 ///
-/// As [`run_cell_chunked`].
+/// As [`run_cell_chunked`], with indices counted in run order: under an
+/// `order`, the error is that of the first failing run in `order`, not
+/// necessarily the lowest flat index.
+#[expect(clippy::too_many_arguments, reason = "the engine's one entry point")]
 pub fn run_cell_chunked_from<T, S, N, F>(
     carried: &mut Vec<S>,
+    order: Option<Vec<u32>>,
     cells: usize,
     reps: usize,
     block: usize,
@@ -311,7 +323,9 @@ where
             solo: workers == 1,
         },
         |w: &mut Worker<S, T>, g| {
-            let cell = g / blocks_per_cell;
+            let at = g / blocks_per_cell;
+            #[expect(clippy::indexing_slicing, reason = "`order` is a permutation of the cells")]
+            let cell = order.as_ref().map_or(at, |order| order[at] as usize);
             let first_rep = (g % blocks_per_cell) * block;
             let next = state(w.state.take(), cell, first_rep)?;
             let st = w.state.insert(next);
@@ -325,9 +339,23 @@ where
         },
     )?;
     carried.extend(workers.iter_mut().filter_map(|w| w.state.take()));
-    // A lone worker's values are already in flat order.
+    let mut out = run_order_values(workers, blocks, total, block_len);
+    if let Some(order) = order {
+        unpermute(&mut out, reps, order);
+    }
+    Ok(out)
+}
+
+/// The workers' values in the order their blocks ran.
+fn run_order_values<S, T>(
+    mut workers: Vec<Worker<S, T>>,
+    blocks: usize,
+    total: usize,
+    block_len: impl Fn(usize) -> usize,
+) -> Vec<T> {
+    // A lone worker's values are already in run order.
     if let [w] = workers.as_mut_slice() {
-        return Ok(std::mem::take(&mut w.values));
+        return std::mem::take(&mut w.values);
     }
     let mut owner = vec![0usize; blocks];
     for (i, w) in workers.iter().enumerate() {
@@ -343,7 +371,26 @@ where
         #[expect(clippy::indexing_slicing, reason = "owners are worker indices")]
         out.extend(values[i].by_ref().take(block_len(g)));
     }
-    Ok(out)
+    out
+}
+
+/// Puts `values`, whose `p`-th chunk of `reps` holds the results of cell
+/// `order[p]`, into cell order in place: each swap moves one chunk to its
+/// cell's slot, and `order` tracks what each slot holds.
+#[expect(clippy::indexing_slicing, reason = "`order` is a permutation of the chunks")]
+fn unpermute<T>(values: &mut [T], reps: usize, mut order: Vec<u32>) {
+    for p in 0..order.len() {
+        loop {
+            let cell = order[p] as usize;
+            if cell == p {
+                break;
+            }
+            let (lo, hi) = (p.min(cell), p.max(cell));
+            let (head, tail) = values.split_at_mut(hi * reps);
+            head[lo * reps..(lo + 1) * reps].swap_with_slice(&mut tail[..reps]);
+            order.swap(p, cell);
+        }
+    }
 }
 
 /// One worker's part of a [`run_cell_chunked_from`] call: its current
@@ -743,6 +790,7 @@ mod tests {
         let mut carried = vec![100usize];
         let got = run_cell_chunked_from(
             &mut carried,
+            None,
             3,
             2,
             2,
@@ -759,6 +807,7 @@ mod tests {
         let mut carried = vec![10usize, 20];
         run_cell_chunked_from(
             &mut carried,
+            None,
             8,
             1,
             1,
@@ -779,6 +828,7 @@ mod tests {
         );
         let failed = run_cell_chunked_from(
             &mut carried,
+            None,
             2,
             1,
             1,
@@ -788,6 +838,69 @@ mod tests {
         );
         assert!(failed.is_err());
         assert!(carried.is_empty(), "a failed run keeps no state");
+    }
+
+    /// Under an `order`, the blocks run in that order — each worker still
+    /// sees its blocks' states in the order it ran them — and the results
+    /// come back in flat cell × repetition order at any worker count and
+    /// block size, with the first failure in run order reported.
+    #[test]
+    fn cell_chunked_runs_in_order_and_returns_flat_order() {
+        let order: Vec<u32> = vec![3, 0, 5, 1, 4, 2, 6];
+        let flat: Vec<usize> = (0..35).collect();
+        for jobs in [1, 2, 4, 8] {
+            for block in [1, 2, 5] {
+                let ran = Mutex::new(Vec::new());
+                let got = run_cell_chunked_from(
+                    &mut Vec::new(),
+                    Some(order.clone()),
+                    7,
+                    5,
+                    block,
+                    &RunOptions::with_jobs(jobs),
+                    |_, cell, first| {
+                        ran.lock().unwrap().push((cell, first));
+                        Ok(cell)
+                    },
+                    |cell: &mut usize, i| {
+                        assert_eq!(*cell, i / 5, "state belongs to the item's cell");
+                        Ok(i)
+                    },
+                )
+                .unwrap();
+                assert_eq!(got, flat, "jobs={jobs} block={block}");
+                let mut ran = ran.into_inner().unwrap();
+                let mut blocks: Vec<(usize, usize)> = order
+                    .iter()
+                    .flat_map(|&c| (0..5).step_by(block).map(move |first| (c as usize, first)))
+                    .collect();
+                if jobs == 1 {
+                    assert_eq!(ran, blocks, "block={block}: blocks run in order");
+                }
+                ran.sort_unstable();
+                blocks.sort_unstable();
+                assert_eq!(ran, blocks, "jobs={jobs} block={block}: every block ran once");
+            }
+            let err = run_cell_chunked_from(
+                &mut Vec::new(),
+                Some(order.clone()),
+                7,
+                5,
+                2,
+                &RunOptions::with_jobs(jobs),
+                |_, _, _| Ok(()),
+                |(), i| {
+                    if i == 7 || i == 16 {
+                        Err(CoreError::InvalidConfig(format!("order boom at {i}")))
+                    } else {
+                        Ok(i)
+                    }
+                },
+            )
+            .unwrap_err();
+            // Cell 3 (flat 15..20) runs first, before cell 1 (flat 5..10).
+            assert!(err.to_string().contains("order boom at 16"), "jobs = {jobs}: {err}");
+        }
     }
 
     #[test]

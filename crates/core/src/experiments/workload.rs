@@ -114,16 +114,21 @@ pub struct WorkloadFigure {
     pub records: Vec<Record>,
 }
 
-/// Summarizes the flat record sequence per (workload, event) class. The
-/// interface varies fastest in [`cells`], so each class is one contiguous
-/// run of `reps × interfaces` records, pooled in record order.
-fn aggregate(records: &[Record], reps: usize) -> Result<Vec<WorkloadRow>> {
+/// Summarizes the flat record sequence over `cells` (from [`cells`]) per
+/// (workload, event) class. The interface varies fastest in [`cells`], so
+/// each class is one contiguous run of `reps × interfaces` records, pooled
+/// in record order.
+fn aggregate(
+    records: &[Record],
+    cells: &[(Benchmark, Event, Interface)],
+    reps: usize,
+) -> Result<Vec<WorkloadRow>> {
     let per_class = reps * Interface::ALL.len();
     let mut pool = Vec::with_capacity(per_class);
     records
         .chunks(per_class)
-        .zip(cells().into_iter().step_by(Interface::ALL.len()))
-        .map(|(class, (bench, event, _))| {
+        .zip(cells.iter().step_by(Interface::ALL.len()))
+        .map(|(class, &(bench, event, _))| {
             pool.clear();
             pool.extend(class.iter().map(|rec| rec.measured as f64 - rec.expected as f64));
             Ok(WorkloadRow {
@@ -136,8 +141,8 @@ fn aggregate(records: &[Record], reps: usize) -> Result<Vec<WorkloadRow>> {
 }
 
 /// Runs the sweep: per-cell measurement sessions (one boot per stack per
-/// worker, re-targeted from block to block), records materialized in flat
-/// order.
+/// worker, re-targeted from block to block: the runner runs the cells
+/// grouped by stack), records materialized in flat order.
 ///
 /// # Errors
 ///
@@ -165,7 +170,7 @@ fn figure(reps: usize, opts: &RunOptions, measure: Option<Measure<'_>>) -> Resul
     let cells = cells();
     let plan = Plan { measure, ..plan(&cells, reps) };
     let records = plan.records(opts)?;
-    let rows = aggregate(&records, plan.reps)?;
+    let rows = aggregate(&records, &cells, plan.reps)?;
     Ok(WorkloadFigure { rows, records })
 }
 

@@ -11,6 +11,17 @@
 //! order ([`Plan::records`]), one fold per cell ([`Plan::fold`]), or a
 //! bounded in-order stream ([`Plan::stream`]).
 //!
+//! A session is re-targeted only to a cell on its processor × interface
+//! stack, so [`Plan::records`] and [`Plan::fold`] run the blocks in *stack
+//! order* — the cells grouped by stack, the stacks in order of first
+//! appearance, each stack's cells in plan order — and a worker boots each
+//! stack at most once, however the plan interleaves them (on one worker,
+//! the zoo sweep, whose interface varies fastest, boots 6 stacks instead
+//! of 144). Each result
+//! still lands at its plan position, and the seeds are per (cell, rep), so
+//! no record changes. [`Plan::stream`] is the exception: it runs in plan
+//! order, which its bounded batches depend on.
+//!
 //! [`Plan::measure`] is the one per-run switch. When it is set, each run
 //! goes through that function instead of a session: [`run_measurement`]
 //! there is the fresh-boot oracle the session path is checked against, and
@@ -23,8 +34,10 @@
 use crate::benchmark::Benchmark;
 use crate::config::MeasurementConfig;
 use crate::exec::{self, RunOptions};
+use crate::interface::Interface;
 use crate::measure::{run_measurement, MeasurementSession, Record};
 use crate::Result;
+use counterlab_cpu::uarch::Processor;
 
 /// A function that measures one run in place of the worker's session,
 /// such as [`run_measurement`] (one fresh boot per run).
@@ -44,6 +57,9 @@ const STREAM_CELL_BATCH: usize = 256;
 /// A worker's state: its session, or none when runs go through
 /// [`Plan::measure`].
 type State = Option<MeasurementSession>;
+
+/// The processor × interface stacks a session can run on.
+const STACKS: usize = Processor::ALL.len() * Interface::ALL.len();
 
 /// A plan's `cell` closure: cell index → (configuration, benchmark).
 pub trait CellFn: Fn(usize) -> (MeasurementConfig, Benchmark) + Sync {}
@@ -84,18 +100,20 @@ impl<C: CellFn, S: SeedFn> Plan<'_, C, S> {
         Plan { cells, reps, block, cell, seed, measure: None }
     }
 
-    /// Every record, in plan order (cell × rep) at any worker count.
+    /// Every record, in plan order (cell × rep) at any worker count; the
+    /// cells run in stack order.
     ///
     /// # Errors
     ///
     /// The failure of the lowest failing run index.
     pub fn records(&self, opts: &RunOptions) -> Result<Vec<Record>> {
-        self.run_cells(&mut Vec::new(), 0, self.cells, opts)
+        self.in_stack_order(|order| self.run_cells(&mut Vec::new(), order, 0, self.cells, opts))
     }
 
     /// Folds each cell's records, in rep order, into one accumulator:
     /// `init(cell)`, then `step` per record. A whole cell is one work item,
-    /// so every accumulator is bit-identical at any worker count.
+    /// so every accumulator is bit-identical at any worker count. The
+    /// cells run in stack order; the folds come back in plan order.
     ///
     /// # Errors
     ///
@@ -110,19 +128,22 @@ impl<C: CellFn, S: SeedFn> Plan<'_, C, S> {
         // One work item per cell: one "repetition" per cell in the engine's
         // terms, which runs all of the cell's runs.
         let session = |prev, cell, _| self.session(prev, cell, 0);
-        exec::run_cell_chunked(self.cells, 1, 1, opts, session, |session, cell| {
+        let fold = |session: &mut State, cell| {
             let mut acc = init(cell);
             for rep in 0..self.reps {
                 step(&mut acc, &self.run(session, cell, rep)?);
             }
             Ok(acc)
+        };
+        self.in_stack_order(|order| {
+            exec::run_cell_chunked_from(&mut Vec::new(), order, self.cells, 1, 1, opts, session, fold)
         })
     }
 
     /// Hands every record to `each` in plan order, holding at most one
     /// batch of `STREAM_CELL_BATCH` (256) cells' records; the workers'
-    /// sessions carry over from batch to batch. Returns the number of
-    /// records.
+    /// sessions carry over from batch to batch. Unlike [`Plan::records`],
+    /// the cells run in plan order. Returns the number of records.
     ///
     /// # Errors
     ///
@@ -133,21 +154,79 @@ impl<C: CellFn, S: SeedFn> Plan<'_, C, S> {
         let mut sessions = Vec::new();
         for start in (0..self.cells).step_by(STREAM_CELL_BATCH) {
             let len = STREAM_CELL_BATCH.min(self.cells - start);
-            self.run_cells(&mut sessions, start, len, &opts)?.iter().for_each(&mut each);
+            self.run_cells(&mut sessions, None, start, len, &opts)?.iter().for_each(&mut each);
         }
         Ok(self.cells * self.reps)
     }
 
-    /// Cells `start..start + len` in plan order, on the workers' `sessions`.
+    /// Runs `run` with the cells in stack order (`None` when plan order
+    /// already is one). A failure runs it again in plan order, so that the
+    /// error is the lowest plan index's, as the runner promises, and not
+    /// the first one stack order met; runs are pure functions of their
+    /// configuration, so the second pass fails the same way.
+    fn in_stack_order<T>(&self, run: impl Fn(Option<Vec<u32>>) -> Result<T>) -> Result<T> {
+        match self.stack_order() {
+            Some(order) => run(Some(order)).or_else(|_| run(None)),
+            None => run(None),
+        }
+    }
+
+    /// The cells in stack order: grouped by processor × interface, the
+    /// stacks in order of first appearance, each stack's cells in plan
+    /// order. `None` when the plan already runs each stack's cells
+    /// together (every grid does), or has too many cells for `u32`.
+    #[expect(clippy::indexing_slicing, reason = "stacks < STACKS, slots < cells")]
+    fn stack_order(&self) -> Option<Vec<u32>> {
+        // Per stack: its cell count, then the slot of its next cell.
+        let mut slot = [0usize; STACKS];
+        let mut firsts = [0usize; STACKS];
+        let (mut stacks, mut grouped, mut last) = (0, true, STACKS);
+        for cell in 0..self.cells {
+            let stack = self.stack(cell);
+            if slot[stack] == 0 {
+                firsts[stacks] = stack;
+                stacks += 1;
+            } else if stack != last {
+                grouped = false;
+            }
+            slot[stack] += 1;
+            last = stack;
+        }
+        if grouped || u32::try_from(self.cells).is_err() {
+            return None;
+        }
+        let mut next = 0;
+        for &stack in &firsts[..stacks] {
+            next += std::mem::replace(&mut slot[stack], next);
+        }
+        let mut order = vec![0; self.cells];
+        for cell in 0..self.cells {
+            let stack = self.stack(cell);
+            order[slot[stack]] = cell as u32;
+            slot[stack] += 1;
+        }
+        Some(order)
+    }
+
+    /// Cell `cell`'s processor × interface stack, below [`STACKS`].
+    fn stack(&self, cell: usize) -> usize {
+        let (config, _) = (self.cell)(cell);
+        config.processor as usize * Interface::ALL.len() + config.interface as usize
+    }
+
+    /// Cells `start..start + len`, run in `order` (relative to `start`) if
+    /// given, returned in plan order, on the workers' `sessions`.
     fn run_cells(
         &self,
         sessions: &mut Vec<State>,
+        order: Option<Vec<u32>>,
         start: usize,
         len: usize,
         opts: &RunOptions,
     ) -> Result<Vec<Record>> {
         exec::run_cell_chunked_from(
             sessions,
+            order,
             len,
             self.reps,
             self.block,
@@ -237,6 +316,25 @@ mod tests {
         let k8 = Processor::AthlonK8;
         check(|| cycles::panel_plan(Interface::Pm, k8, &builds, &sizes, 2), "fig12");
         check(|| cache::plan(k8, 32_000, 4), "ext-cache");
+    }
+
+    /// The zoo's interface varies fastest: stack order runs each
+    /// interface's cells together, in plan order, the interfaces in order
+    /// of first appearance. A grid's cells are grouped already.
+    #[test]
+    fn stack_order_groups_each_stack_in_plan_order() {
+        let zoo = workload::cells();
+        let n = Interface::ALL.len();
+        let want: Vec<u32> = (0..n)
+            .flat_map(|i| (i..zoo.len()).step_by(n))
+            .map(|c| c as u32)
+            .collect();
+        assert_eq!(workload::plan(&zoo, 2).stack_order(), Some(want));
+        let mut grid = Grid::new(crate::benchmark::Benchmark::Null);
+        grid.processors = Processor::ALL.to_vec();
+        grid.interfaces = Interface::ALL.to_vec();
+        let cells: Vec<_> = grid.cells().collect();
+        assert_eq!(grid.plan(&cells).stack_order(), None);
     }
 
     /// 40 runs per cell in blocks of 32: each cell's second block is

@@ -4,8 +4,8 @@
 //! benchmark duration by fitting a regression line through `(loop
 //! iterations, error)` points and reporting its slope (Figures 7 and 8), and
 //! cross-checks a slope of 0.00204 kernel instructions per iteration for
-//! Figure 9. [`LinearFit`] provides those slopes plus the usual inference
-//! statistics.
+//! Figure 9. [`LinearFit`] provides those slopes, with the intercept and
+//! R².
 
 use crate::{Result, StatsError};
 
@@ -29,8 +29,6 @@ pub struct LinearFit {
     intercept: f64,
     r_squared: f64,
     n: usize,
-    residual_std: f64,
-    slope_std_err: f64,
 }
 
 impl LinearFit {
@@ -79,17 +77,11 @@ impl LinearFit {
         // floating point cancellation.
         let ss_res = (syy - slope * sxy).max(0.0);
         let r_squared = if syy == 0.0 { 1.0 } else { 1.0 - ss_res / syy };
-        let dof = (x.len() as f64 - 2.0).max(1.0);
-        let residual_var = ss_res / dof;
-        let residual_std = residual_var.sqrt();
-        let slope_std_err = (residual_var / sxx).sqrt();
         Ok(LinearFit {
             slope,
             intercept,
             r_squared,
             n: x.len(),
-            residual_std,
-            slope_std_err,
         })
     }
 
@@ -113,17 +105,6 @@ impl LinearFit {
     /// Number of points fitted.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Residual standard deviation (root mean squared error with `n - 2`
-    /// denominator).
-    pub fn residual_std(&self) -> f64 {
-        self.residual_std
-    }
-
-    /// Standard error of the slope estimate.
-    pub fn slope_std_err(&self) -> f64 {
-        self.slope_std_err
     }
 }
 
@@ -149,7 +130,6 @@ mod tests {
         assert!((fit.slope() - 3.0).abs() < 1e-12);
         assert!((fit.intercept() + 1.0).abs() < 1e-12);
         assert!((fit.r_squared() - 1.0).abs() < 1e-12);
-        assert!(fit.residual_std() < 1e-9);
     }
 
     #[test]

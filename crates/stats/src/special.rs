@@ -194,70 +194,6 @@ pub fn erfc(x: f64) -> f64 {
     1.0 - erf(x)
 }
 
-/// Regularized lower incomplete gamma function `P(a, x)`, by series expansion
-/// for `x < a + 1` and continued fraction otherwise.
-///
-/// # Errors
-///
-/// Returns [`StatsError::InvalidParameter`] for `a <= 0` or `x < 0`.
-pub fn incomplete_gamma_lower(a: f64, x: f64) -> Result<f64> {
-    if a <= 0.0 {
-        return Err(StatsError::InvalidParameter(
-            "incomplete_gamma requires a > 0",
-        ));
-    }
-    if x < 0.0 {
-        return Err(StatsError::InvalidParameter(
-            "incomplete_gamma requires x >= 0",
-        ));
-    }
-    if x == 0.0 {
-        return Ok(0.0);
-    }
-    let lg = ln_gamma(a)?;
-    if x < a + 1.0 {
-        // Series representation.
-        let mut term = 1.0 / a;
-        let mut sum = term;
-        let mut ap = a;
-        for _ in 0..500 {
-            ap += 1.0;
-            term *= x / ap;
-            sum += term;
-            if term.abs() < sum.abs() * 1e-15 {
-                break;
-            }
-        }
-        Ok((sum.ln() + a * x.ln() - x - lg).exp().clamp(0.0, 1.0))
-    } else {
-        // Continued fraction for Q(a, x), then P = 1 - Q.
-        let mut b = x + 1.0 - a;
-        let mut c = 1e300;
-        let mut d = 1.0 / b;
-        let mut h = d;
-        for i in 1..500 {
-            let an = -(i as f64) * (i as f64 - a);
-            b += 2.0;
-            d = an * d + b;
-            if d.abs() < 1e-300 {
-                d = 1e-300;
-            }
-            c = b + an / c;
-            if c.abs() < 1e-300 {
-                c = 1e-300;
-            }
-            d = 1.0 / d;
-            let delta = d * c;
-            h *= delta;
-            if (delta - 1.0).abs() < 1e-15 {
-                break;
-            }
-        }
-        let q = (a * x.ln() - x - lg).exp() * h;
-        Ok((1.0 - q).clamp(0.0, 1.0))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,26 +271,5 @@ mod tests {
         assert!((erf(2.0) - 0.9953).abs() < 1e-3);
         assert!((erf(-1.0) + erf(1.0)).abs() < 1e-12, "erf is odd");
         assert!((erfc(0.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn incomplete_gamma_basics() {
-        assert_eq!(incomplete_gamma_lower(1.0, 0.0).unwrap(), 0.0);
-        // P(1, x) = 1 - e^{-x}
-        for &x in &[0.5, 1.0, 3.0, 10.0] {
-            let p = incomplete_gamma_lower(1.0, x).unwrap();
-            assert!((p - (1.0 - (-x).exp())).abs() < 1e-10, "x={x}");
-        }
-    }
-
-    #[test]
-    fn incomplete_gamma_monotone_in_x() {
-        let mut prev = 0.0;
-        for i in 1..50 {
-            let p = incomplete_gamma_lower(3.0, i as f64 * 0.3).unwrap();
-            assert!(p >= prev);
-            prev = p;
-        }
-        assert!(prev > 0.99);
     }
 }

@@ -21,6 +21,7 @@ use counterlab::measure::run_measurement;
 use counterlab::pattern::Pattern;
 use counterlab::sweep::Plan;
 use counterlab::CoreError;
+use counterlab_cpu::uarch::Processor;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The synthetic failure: the exact variant the measure layer raises for
@@ -152,6 +153,48 @@ fn lowest_cell_wins_in_fold_path() {
             }
             other => panic!("jobs = {jobs}: unexpected error {other}"),
         }
+    }
+}
+
+/// A zoo-style plan: eight workloads × three interfaces, the interface
+/// varying fastest, so the runner runs its cells in stack order (every
+/// pm cell, then every pc cell, then every PLpm cell). Each run's seed
+/// names its cell and rep. Cells 8 (PLpm) and 15 (pm) fail from rep 1 on:
+/// stack order meets cell 15 first, but cell 8 has the lower plan index,
+/// and its error must win in both the record and the fold path.
+#[test]
+fn lowest_plan_index_wins_when_stack_order_meets_a_later_failure_first() {
+    let benchmarks = Benchmark::zoo(64);
+    let interfaces = [Interface::Pm, Interface::Pc, Interface::PLpm];
+    assert_eq!(benchmarks.len(), 8);
+    let cell = |c: usize| {
+        let interface = interfaces[c % interfaces.len()];
+        (MeasurementConfig::new(Processor::AthlonK8, interface), benchmarks[c / interfaces.len()])
+    };
+    let seed = |c: usize, rep: usize| (c * 100 + rep) as u64;
+    let measure = |cfg: &MeasurementConfig, benchmark| {
+        let (c, rep) = (cfg.seed / 100, cfg.seed % 100);
+        if (c == 8 || c == 15) && rep >= 1 {
+            return Err(backwards_at(cfg.seed as usize));
+        }
+        run_measurement(cfg, benchmark)
+    };
+    for jobs in [1, 2, 4, 8] {
+        let opts = RunOptions::with_jobs(jobs);
+        let plan = Plan {
+            measure: Some(&measure),
+            ..Plan::new(benchmarks.len() * interfaces.len(), 3, 2, cell, seed)
+        };
+        let err = plan.records(&opts).unwrap_err();
+        assert!(
+            matches!(err, CoreError::CounterWentBackwards { first: 801, .. }),
+            "records, jobs = {jobs}: {err}"
+        );
+        let err = plan.fold(&opts, |_| (), |(), _| ()).unwrap_err();
+        assert!(
+            matches!(err, CoreError::CounterWentBackwards { first: 801, .. }),
+            "fold, jobs = {jobs}: {err}"
+        );
     }
 }
 

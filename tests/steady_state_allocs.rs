@@ -12,10 +12,12 @@ use std::cell::Cell;
 
 use counterlab::benchmark::Benchmark;
 use counterlab::config::MeasurementConfig;
+use counterlab::experiments::workload;
 use counterlab::interface::{CountingMode, Interface};
 use counterlab::measure::MeasurementSession;
 use counterlab::pattern::Pattern;
 use counterlab::prelude::*;
+use counterlab::sweep::{Plan, SESSION_REP_BLOCK};
 
 thread_local! {
     /// Allocation calls (alloc, alloc_zeroed, realloc) on this thread.
@@ -130,4 +132,30 @@ fn same_stack_reuse_allocates_nothing() {
             assert_eq!(n, 0, "{processor}/{interface}");
         }
     }
+}
+
+/// A sweep whose cells interleave stacks — the zoo's, interface fastest —
+/// boots once per stack at one worker: its records cost exactly what the
+/// same cells listed stack by stack cost, plus the one allocation of the
+/// runner's execution order. Were the runner to run the cells in plan
+/// order, every cell would boot a stack (about 18 allocations each).
+#[test]
+fn interleaved_stacks_boot_once_per_stack() {
+    let zoo = workload::cells();
+    let mut by_stack = zoo.clone();
+    by_stack.sort_by_key(|&(_, _, interface)| {
+        Interface::ALL.iter().position(|&i| i == interface)
+    });
+    let records = |cells: &[(Benchmark, Event, Interface)]| {
+        let cell = |c: usize| {
+            let (benchmark, event, interface) = cells[c];
+            let cfg = MeasurementConfig::new(Processor::AthlonK8, interface).with_event(event);
+            (cfg, benchmark)
+        };
+        let plan = Plan::new(cells.len(), 4, SESSION_REP_BLOCK, cell, |c, rep| (c * 4 + rep) as u64);
+        allocations(|| plan.records(&RunOptions::with_jobs(1)).unwrap())
+    };
+    let (interleaved, _) = records(&zoo);
+    let (grouped, _) = records(&by_stack);
+    assert_eq!(interleaved, grouped + 1, "one boot per stack, not per cell");
 }
