@@ -417,10 +417,12 @@ impl Machine {
         }
     }
 
-    /// Commits a precomputed delta at `privilege`: the PMU accumulates it
-    /// ([`Pmu::commit`]) and the cycle clock advances by its cycles. Both
-    /// are linear, so committing `d.scaled(k)` once equals committing `d`
-    /// `k` times.
+    /// Commits a precomputed delta at `privilege`: the PMU adds it to its
+    /// pending events for that level ([`Pmu::commit`]), which counters
+    /// settle only when they are read or reconfigured, and the TSC and the
+    /// cycle clock advance by its cycles at once, so tick checks see the
+    /// current cycle. All of it is linear, so committing `d.scaled(k)`
+    /// once equals committing `d` `k` times.
     #[inline]
     pub fn commit_delta(&mut self, delta: &EventDelta, privilege: Privilege) {
         self.pmu.commit(delta, privilege);

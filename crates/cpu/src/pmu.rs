@@ -202,19 +202,45 @@ const FIXED_EVENTS: [Event; 3] = [
 ];
 
 /// The per-core performance monitoring unit.
+///
+/// Counting is deferred. [`Pmu::commit`] runs on every retired
+/// instruction mix, so it only adds the delta to one pending delta per
+/// privilege level. A counter's true value is its stored value plus the
+/// pending events its current configuration counts. Every reader adds
+/// that part, and every mutator first settles it into the stored values,
+/// so no caller can tell deferred counting from eager counting.
 #[derive(Debug, Clone)]
 pub struct Pmu {
     uarch: &'static Uarch,
     pmc_values: Vec<u64>,
     pmc_configs: Vec<Option<PmcConfig>>,
-    /// Indices of programmed counters, ascending. [`Pmu::commit`] runs on
-    /// every retired instruction mix, so it walks this short list instead
-    /// of scanning all slots (the Pentium D has 18, rarely more than 4 of
-    /// which are in use).
+    /// Indices of programmed counters, ascending. Settling walks this
+    /// short list instead of scanning all slots (the Pentium D has 18,
+    /// rarely more than 4 of which are in use).
     programmed: Vec<usize>,
     fixed_values: Vec<u64>,
     fixed_configs: Vec<Option<CountMode>>,
     tsc: u64,
+    /// Events committed since the last settle, indexed by [`level`].
+    pending: [EventDelta; 2],
+}
+
+/// Index of `privilege` in [`Pmu`]'s pending deltas.
+fn level(privilege: Privilege) -> usize {
+    match privilege {
+        Privilege::User => 0,
+        Privilege::Kernel => 1,
+    }
+}
+
+/// The pending events a counter of `event` filtered by `mode` has not yet
+/// added to its stored value.
+fn pending_count(pending: &[EventDelta; 2], event: Event, mode: CountMode) -> u64 {
+    [Privilege::User, Privilege::Kernel]
+        .into_iter()
+        .filter(|&privilege| mode.counts(privilege))
+        .map(|privilege| pending[level(privilege)].count(event))
+        .sum()
 }
 
 impl Pmu {
@@ -229,6 +255,7 @@ impl Pmu {
             fixed_values: vec![0; uarch.fixed_counters],
             fixed_configs: vec![None; uarch.fixed_counters],
             tsc: 0,
+            pending: [EventDelta::default(); 2],
         }
     }
 
@@ -245,6 +272,7 @@ impl Pmu {
         self.fixed_values.fill(0);
         self.fixed_configs.fill(None);
         self.tsc = 0;
+        self.pending = [EventDelta::default(); 2];
     }
 
     /// Records `index` in the programmed-counter list (ascending, no
@@ -286,6 +314,7 @@ impl Pmu {
                 uarch: self.uarch.arch.name(),
             });
         }
+        self.settle();
         self.pmc_configs[index] = Some(config);
         self.pmc_values[index] = 0;
         self.note_programmed(index);
@@ -307,6 +336,7 @@ impl Pmu {
                 uarch: self.uarch.arch.name(),
             });
         }
+        self.settle();
         self.pmc_configs[index] = Some(config);
         self.note_programmed(index);
         Ok(index)
@@ -319,6 +349,7 @@ impl Pmu {
     /// [`CpuError::NoSuchCounter`] when the index is out of range.
     pub fn deprogram(&mut self, index: usize) -> Result<()> {
         self.check_pmc(index)?;
+        self.settle();
         self.pmc_configs[index] = None;
         if let Ok(pos) = self.programmed.binary_search(&index) {
             self.programmed.remove(pos);
@@ -345,6 +376,7 @@ impl Pmu {
     /// event-select register).
     pub fn set_enabled(&mut self, index: usize, enabled: bool) -> Result<()> {
         self.check_pmc(index)?;
+        self.settle();
         if let Some(cfg) = self.pmc_configs[index].as_mut() {
             cfg.enabled = enabled;
         }
@@ -359,7 +391,7 @@ impl Pmu {
     /// [`CpuError::NoSuchCounter`] when the index is out of range.
     pub fn read_pmc(&self, index: usize) -> Result<u64> {
         self.check_pmc(index)?;
-        Ok(self.pmc_values[index])
+        Ok(self.pmc_values[index] + self.pmc_pending(index))
     }
 
     /// Writes the value of programmable counter `index` (kernel-only WRMSR
@@ -370,25 +402,8 @@ impl Pmu {
     /// [`CpuError::NoSuchCounter`] when the index is out of range.
     pub fn write_pmc(&mut self, index: usize, value: u64) -> Result<()> {
         self.check_pmc(index)?;
+        self.settle();
         self.pmc_values[index] = value;
-        Ok(())
-    }
-
-    /// Configures fixed counter `index` to count (or stops it with `None`).
-    ///
-    /// # Errors
-    ///
-    /// [`CpuError::NoSuchCounter`] when this processor has no such fixed
-    /// counter.
-    pub fn configure_fixed(&mut self, index: usize, mode: Option<CountMode>) -> Result<()> {
-        if index >= self.fixed_values.len() {
-            return Err(CpuError::NoSuchCounter {
-                index,
-                available: self.fixed_values.len(),
-            });
-        }
-        self.fixed_configs[index] = mode;
-        self.fixed_values[index] = 0;
         Ok(())
     }
 
@@ -401,7 +416,7 @@ impl Pmu {
     pub fn read_fixed(&self, index: usize) -> Result<u64> {
         self.fixed_values
             .get(index)
-            .copied()
+            .map(|value| value + self.fixed_pending(index))
             .ok_or(CpuError::NoSuchCounter {
                 index,
                 available: self.fixed_values.len(),
@@ -421,6 +436,7 @@ impl Pmu {
                 available: self.fixed_values.len(),
             });
         }
+        self.settle();
         self.fixed_values[index] = value;
         Ok(())
     }
@@ -455,6 +471,7 @@ impl Pmu {
                 available: self.fixed_values.len(),
             });
         }
+        self.settle();
         self.fixed_configs[index] = mode;
         Ok(())
     }
@@ -464,53 +481,62 @@ impl Pmu {
         self.tsc = value;
     }
 
-    /// The event a fixed counter counts, by register order.
-    pub fn fixed_event(index: usize) -> Option<Event> {
-        FIXED_EVENTS.get(index).copied()
-    }
-
     /// Current time stamp counter value.
     pub fn tsc(&self) -> u64 {
         self.tsc
     }
 
-    /// Advances the TSC; the TSC runs unconditionally (it is a fixed counter
-    /// that “cannot be disabled”, §2.1).
-    pub fn advance_tsc(&mut self, cycles: u64) {
-        self.tsc += cycles;
-    }
-
     /// Commits one execution quantum at the given privilege level: every
     /// enabled counter whose [`CountMode`] covers `privilege` accumulates
-    /// its event's delta. The TSC advances by the delta's cycles regardless
-    /// of privilege.
+    /// its event's delta. The delta joins the pending events of its
+    /// privilege level, which readers see at once and the next mutator
+    /// settles; counting is linear, so that equals adding it to each
+    /// counter now. The TSC advances by the delta's cycles at once,
+    /// regardless of privilege.
     pub fn commit(&mut self, delta: &EventDelta, privilege: Privilege) {
-        for &idx in &self.programmed {
-            let cfg = self.pmc_configs[idx].expect("programmed list tracks Some configs");
-            if cfg.enabled && cfg.mode.counts(privilege) {
-                self.pmc_values[idx] += delta.count(cfg.event);
-            }
-        }
-        for (i, (value, config)) in self
-            .fixed_values
-            .iter_mut()
-            .zip(&self.fixed_configs)
-            .enumerate()
-        {
-            if let Some(mode) = config {
-                if mode.counts(privilege) {
-                    *value += delta.count(FIXED_EVENTS[i]);
-                }
-            }
-        }
+        let pending = &mut self.pending[level(privilege)];
+        *pending = pending.merged(delta);
         self.tsc += delta.cycles;
+    }
+
+    /// Adds the pending events to every counter that counts them and
+    /// clears them. Runs before any change to a counter's value or
+    /// configuration, which would otherwise re-attribute them.
+    fn settle(&mut self) {
+        for &idx in &self.programmed {
+            self.pmc_values[idx] += self.pmc_pending(idx);
+        }
+        for i in 0..self.fixed_values.len() {
+            self.fixed_values[i] += self.fixed_pending(i);
+        }
+        self.pending = [EventDelta::default(); 2];
+    }
+
+    /// Pending events programmable counter `index` counts (`index` in
+    /// range).
+    fn pmc_pending(&self, index: usize) -> u64 {
+        match self.pmc_configs[index] {
+            Some(cfg) if cfg.enabled => pending_count(&self.pending, cfg.event, cfg.mode),
+            _ => 0,
+        }
+    }
+
+    /// Pending events fixed counter `index` counts (`index` in range).
+    fn fixed_pending(&self, index: usize) -> u64 {
+        self.fixed_configs[index].map_or(0, |mode| {
+            pending_count(&self.pending, FIXED_EVENTS[index], mode)
+        })
     }
 
     /// Captures all counter values (for context switches).
     pub fn snapshot(&self) -> PmuSnapshot {
         PmuSnapshot {
-            pmcs: self.pmc_values.clone(),
-            fixed: self.fixed_values.clone(),
+            pmcs: (0..self.pmc_values.len())
+                .map(|i| self.pmc_values[i] + self.pmc_pending(i))
+                .collect(),
+            fixed: (0..self.fixed_values.len())
+                .map(|i| self.fixed_values[i] + self.fixed_pending(i))
+                .collect(),
         }
     }
 
@@ -518,6 +544,7 @@ impl Pmu {
     /// are not part of the snapshot; the kernel extension reprograms them
     /// separately, exactly like the real context-switch path.
     pub fn restore(&mut self, snapshot: &PmuSnapshot) {
+        self.settle();
         for (dst, src) in self.pmc_values.iter_mut().zip(&snapshot.pmcs) {
             *dst = *src;
         }
@@ -642,34 +669,34 @@ mod tests {
         pmu.commit(&delta(1, 7), Privilege::User);
         pmu.commit(&delta(1, 13), Privilege::Kernel);
         assert_eq!(pmu.tsc(), 20);
-        pmu.advance_tsc(5);
-        assert_eq!(pmu.tsc(), 25);
     }
 
     #[test]
     fn fixed_counters_on_core2_only() {
         let mut cd = Pmu::new(&CORE2_DUO);
         assert_eq!(cd.fixed_count(), 3);
-        cd.configure_fixed(0, Some(CountMode::UserAndKernel))
+        cd.set_fixed_mode(0, Some(CountMode::UserAndKernel))
             .unwrap();
         cd.commit(&delta(42, 100), Privilege::User);
         assert_eq!(cd.read_fixed(0).unwrap(), 42); // instructions
         let mut k8 = Pmu::new(&ATHLON_K8);
         assert_eq!(k8.fixed_count(), 0);
         assert!(k8
-            .configure_fixed(0, Some(CountMode::UserAndKernel))
+            .set_fixed_mode(0, Some(CountMode::UserAndKernel))
             .is_err());
     }
 
     #[test]
     fn fixed_counter_cycles_role() {
         let mut cd = Pmu::new(&CORE2_DUO);
-        cd.configure_fixed(1, Some(CountMode::UserAndKernel))
+        cd.set_fixed_mode(1, Some(CountMode::UserAndKernel))
             .unwrap();
+        cd.set_fixed_mode(2, Some(CountMode::UserOnly)).unwrap();
         cd.commit(&delta(42, 100), Privilege::Kernel);
-        assert_eq!(cd.read_fixed(1).unwrap(), 100); // core cycles
-        assert_eq!(Pmu::fixed_event(1), Some(Event::CoreCycles));
-        assert_eq!(Pmu::fixed_event(9), None);
+        cd.commit(&delta(1, 10), Privilege::User);
+        assert_eq!(cd.read_fixed(1).unwrap(), 110); // core cycles
+        assert_eq!(cd.read_fixed(2).unwrap(), 10); // reference cycles, user only
+        assert!(cd.read_fixed(3).is_err());
     }
 
     #[test]
@@ -722,7 +749,7 @@ mod tests {
             PmcConfig::counting(Event::InstructionsRetired, CountMode::UserAndKernel),
         )
         .unwrap();
-        pmu.configure_fixed(0, Some(CountMode::UserAndKernel))
+        pmu.set_fixed_mode(0, Some(CountMode::UserAndKernel))
             .unwrap();
         pmu.commit(&delta(7, 9), Privilege::User);
         let snap = pmu.snapshot();

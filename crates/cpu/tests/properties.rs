@@ -5,9 +5,9 @@ use counterlab_cpu::layout::{BuildFingerprint, CodePlacement, TEXT_BASE};
 use counterlab_cpu::machine::{Machine, Privilege};
 use counterlab_cpu::mix::{InstMix, MixBuilder};
 use counterlab_cpu::msr;
-use counterlab_cpu::pmu::{CountMode, Event, PmcConfig};
+use counterlab_cpu::pmu::{CountMode, Event, EventDelta, PmcConfig, Pmu, PmuSnapshot};
 use counterlab_cpu::timing::{loop_cpi, straight_cycles, CyclesPerIteration};
-use counterlab_cpu::uarch::Processor;
+use counterlab_cpu::uarch::{Processor, Uarch};
 use proptest::prelude::*;
 
 fn arb_processor() -> impl Strategy<Value = Processor> {
@@ -33,8 +33,256 @@ fn arb_mix() -> impl Strategy<Value = InstMix> {
     )
 }
 
+/// Eager reference PMU: every commit adds straight into each counter that
+/// counts it. [`Pmu`] defers that work; this model defines what deferral
+/// must be indistinguishable from.
+struct EagerPmu {
+    uarch: &'static Uarch,
+    pmcs: Vec<u64>,
+    configs: Vec<Option<PmcConfig>>,
+    fixed: Vec<u64>,
+    fixed_modes: Vec<Option<CountMode>>,
+    tsc: u64,
+}
+
+/// Fixed-counter roles in register order (the third is reference
+/// cycles, which the model counts as core cycles).
+const FIXED_EVENTS: [Event; 3] = [
+    Event::InstructionsRetired,
+    Event::CoreCycles,
+    Event::CoreCycles,
+];
+
+impl EagerPmu {
+    fn new(uarch: &'static Uarch) -> Self {
+        EagerPmu {
+            uarch,
+            pmcs: vec![0; uarch.programmable_counters],
+            configs: vec![None; uarch.programmable_counters],
+            fixed: vec![0; uarch.fixed_counters],
+            fixed_modes: vec![None; uarch.fixed_counters],
+            tsc: 0,
+        }
+    }
+
+    fn commit(&mut self, delta: &EventDelta, privilege: Privilege) {
+        for (value, config) in self.pmcs.iter_mut().zip(&self.configs) {
+            if let Some(cfg) = config {
+                if cfg.enabled && cfg.mode.counts(privilege) {
+                    *value += delta.count(cfg.event);
+                }
+            }
+        }
+        for ((value, mode), event) in self
+            .fixed
+            .iter_mut()
+            .zip(&self.fixed_modes)
+            .zip(FIXED_EVENTS)
+        {
+            if mode.is_some_and(|m| m.counts(privilege)) {
+                *value += delta.count(event);
+            }
+        }
+        self.tsc += delta.cycles;
+    }
+
+    /// `program` (`reset` true) or `program_preserving`; false on error.
+    fn program(&mut self, index: usize, config: PmcConfig, reset: bool) -> bool {
+        if index >= self.pmcs.len() || self.uarch.event_encoding(config.event).is_none() {
+            return false;
+        }
+        self.configs[index] = Some(config);
+        if reset {
+            self.pmcs[index] = 0;
+        }
+        true
+    }
+
+    fn snapshot(&self) -> PmuSnapshot {
+        PmuSnapshot {
+            pmcs: self.pmcs.clone(),
+            fixed: self.fixed.clone(),
+        }
+    }
+
+    fn restore(&mut self, snapshot: &PmuSnapshot) {
+        for (dst, src) in self.pmcs.iter_mut().zip(&snapshot.pmcs) {
+            *dst = *src;
+        }
+        for (dst, src) in self.fixed.iter_mut().zip(&snapshot.fixed) {
+            *dst = *src;
+        }
+    }
+}
+
+/// A counter configuration drawn from `sel` in `0..42`: every event, mode
+/// and enable bit.
+fn config_from(sel: usize) -> PmcConfig {
+    let mode = [
+        CountMode::UserOnly,
+        CountMode::KernelOnly,
+        CountMode::UserAndKernel,
+    ][(sel / 7) % 3];
+    PmcConfig {
+        event: Event::ALL[sel % 7],
+        mode,
+        enabled: sel < 21,
+    }
+}
+
+/// Applies one encoded op to both PMUs. `slot` picks a counter index in
+/// range or one past it, `x` a value and `sel` a configuration.
+fn apply_op(
+    real: &mut Pmu,
+    eager: &mut EagerPmu,
+    saved: &mut Option<PmuSnapshot>,
+    (kind, slot, x, sel): (u64, usize, u64, usize),
+) -> Result<(), TestCaseError> {
+    let i = slot % (real.programmable_count() + 1);
+    let f = slot % 4;
+    let fixed_mode = [
+        None,
+        Some(CountMode::UserOnly),
+        Some(CountMode::KernelOnly),
+        Some(CountMode::UserAndKernel),
+    ][sel % 4];
+    match kind {
+        0..=5 => {
+            let delta = EventDelta {
+                instructions: x,
+                cycles: x / 3 + sel as u64,
+                branches: x / 10,
+                branch_mispredictions: (sel % 3) as u64,
+                icache_misses: (sel % 5) as u64,
+                dcache_misses: x % 7,
+                itlb_misses: (sel % 2) as u64,
+            };
+            let privilege = if kind < 3 {
+                Privilege::User
+            } else {
+                Privilege::Kernel
+            };
+            real.commit(&delta, privilege);
+            eager.commit(&delta, privilege);
+        }
+        6 => prop_assert_eq!(
+            real.program(i, config_from(sel)).is_ok(),
+            eager.program(i, config_from(sel), true)
+        ),
+        7 => prop_assert_eq!(
+            real.program_preserving(i, config_from(sel)).is_ok(),
+            eager.program(i, config_from(sel), false)
+        ),
+        8 => {
+            prop_assert_eq!(real.deprogram(i).is_ok(), i < eager.pmcs.len());
+            if let Some(c) = eager.configs.get_mut(i) {
+                *c = None;
+            }
+        }
+        9 => {
+            let enabled = sel.is_multiple_of(2);
+            prop_assert_eq!(real.set_enabled(i, enabled).is_ok(), i < eager.pmcs.len());
+            if let Some(Some(cfg)) = eager.configs.get_mut(i) {
+                cfg.enabled = enabled;
+            }
+        }
+        10 => {
+            prop_assert_eq!(real.write_pmc(i, x).is_ok(), i < eager.pmcs.len());
+            if let Some(v) = eager.pmcs.get_mut(i) {
+                *v = x;
+            }
+        }
+        11 => {
+            prop_assert_eq!(
+                real.set_fixed_mode(f, fixed_mode).is_ok(),
+                f < eager.fixed.len()
+            );
+            if let Some(m) = eager.fixed_modes.get_mut(f) {
+                *m = fixed_mode;
+            }
+        }
+        12 => {
+            prop_assert_eq!(real.write_fixed(f, x).is_ok(), f < eager.fixed.len());
+            if let Some(v) = eager.fixed.get_mut(f) {
+                *v = x;
+            }
+        }
+        13 => *saved = Some(real.snapshot()),
+        14 => {
+            // Before any snapshot, a short one: it overwrites only the
+            // first counter, and the others keep their pending events.
+            let snapshot = saved.clone().unwrap_or(PmuSnapshot {
+                pmcs: vec![7],
+                fixed: vec![],
+            });
+            real.restore(&snapshot);
+            eager.restore(&snapshot);
+        }
+        _ => {
+            real.reset();
+            *eager = EagerPmu::new(eager.uarch);
+        }
+    }
+    Ok(())
+}
+
+/// Every observation of the two PMUs agrees.
+fn assert_same(real: &Pmu, eager: &EagerPmu) -> Result<(), TestCaseError> {
+    for i in 0..=eager.pmcs.len() {
+        prop_assert_eq!(
+            real.read_pmc(i).ok(),
+            eager.pmcs.get(i).copied(),
+            "pmc {}",
+            i
+        );
+        prop_assert_eq!(
+            real.config(i).ok(),
+            eager.configs.get(i).copied(),
+            "config {}",
+            i
+        );
+    }
+    for i in 0..=eager.fixed.len() {
+        prop_assert_eq!(
+            real.read_fixed(i).ok(),
+            eager.fixed.get(i).copied(),
+            "fixed {}",
+            i
+        );
+        prop_assert_eq!(
+            real.fixed_config(i).ok(),
+            eager.fixed_modes.get(i).copied(),
+            "fixed mode {}",
+            i
+        );
+    }
+    prop_assert_eq!(real.tsc(), eager.tsc);
+    prop_assert_eq!(real.snapshot(), eager.snapshot());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Deferred counting is indistinguishable from eager counting: the
+    /// real PMU and the eager reference, driven through the same random
+    /// sequence of commits at both levels, (re)programming, enable bits,
+    /// value writes, fixed-counter modes, snapshot/restore and reset,
+    /// agree on every counter, configuration, the TSC and the snapshot
+    /// after every op.
+    #[test]
+    fn deferred_commit_matches_eager(
+        p in arb_processor(),
+        ops in prop::collection::vec((0u64..16, 0usize..64, 0u64..1_000_000, 0usize..42), 1..80),
+    ) {
+        let mut real = Pmu::new(p.uarch());
+        let mut eager = EagerPmu::new(p.uarch());
+        let mut saved = None;
+        for op in ops {
+            apply_op(&mut real, &mut eager, &mut saved, op)?;
+            assert_same(&real, &eager)?;
+        }
+    }
 
     /// Retired-instruction counting is exact: the committed count equals
     /// the mix's instruction total, independent of processor.

@@ -120,16 +120,6 @@ impl PathCost {
         self.wrapper_post = self.wrapper_post * percent / 100;
         self
     }
-
-    /// Total instructions on the pre side (user + kernel).
-    pub fn total_pre(&self) -> u64 {
-        self.wrapper_pre + self.handler_pre
-    }
-
-    /// Total instructions on the post side (user + kernel).
-    pub fn total_post(&self) -> u64 {
-        self.wrapper_post + self.handler_post
-    }
 }
 
 /// Shapes an instruction budget into a plausible user-library mix
@@ -193,25 +183,6 @@ pub fn lib_syscall<R>(
     Ok(result)
 }
 
-/// Runs a pure user-mode library operation split around a capture point:
-/// `pre` user instructions, then `f` (which may read counters via `RDPMC`
-/// without kernel involvement), then `post` user instructions.
-///
-/// # Errors
-///
-/// Propagates errors from `f`.
-pub fn lib_usercall<R>(
-    sys: &mut System,
-    pre: u64,
-    post: u64,
-    f: impl FnOnce(&mut Machine) -> Result<R>,
-) -> Result<R> {
-    sys.run_user_mix(&user_code_mix(pre));
-    let result = f(sys.machine_mut())?;
-    sys.run_user_mix(&user_code_mix(post));
-    Ok(result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,22 +230,6 @@ mod tests {
         let kernel = sys.machine().pmu().read_pmc(1).unwrap();
         assert_eq!(user, 30 + 20 + conv.total_user());
         assert_eq!(kernel, 100 + 50 + conv.total_kernel());
-    }
-
-    #[test]
-    fn lib_usercall_never_enters_kernel() {
-        let mut sys = quiet_system();
-        sys.machine_mut()
-            .pmu_mut()
-            .program(
-                0,
-                PmcConfig::counting(Event::InstructionsRetired, CountMode::KernelOnly),
-            )
-            .unwrap();
-        let tsc = lib_usercall(&mut sys, 40, 50, |m| Ok(m.rdtsc())).unwrap();
-        assert!(tsc > 0);
-        assert_eq!(sys.machine().pmu().read_pmc(0).unwrap(), 0);
-        assert_eq!(sys.syscall_count(), 0);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use counterlab_cpu::layout::CodePlacement;
 use counterlab_cpu::machine::{LoopAnalysis, Machine, Privilege};
 use counterlab_cpu::mix::{InstMix, MixBuilder};
+use counterlab_cpu::pmu::EventDelta;
 use counterlab_cpu::uarch::Processor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,10 +39,11 @@ pub struct System {
     skid: SkidModel,
     threads: ThreadTable,
     convention: SyscallConvention,
-    /// The four convention mixes, cached once per boot: the syscall round
-    /// trip is the measurement hot loop and the mixes are pure functions
-    /// of `convention` (entry, kernel entry, kernel exit, exit).
-    conv_mixes: [InstMix; 4],
+    /// The four convention mixes' event deltas, computed once per boot:
+    /// the syscall round trip is the measurement hot loop, and each delta
+    /// is a pure function of `convention` and the processor (entry,
+    /// kernel entry, kernel exit, exit).
+    conv_deltas: [EventDelta; 4],
     syscall_count: u64,
     preemption: Option<Preemption>,
     ticks_since_switch: u32,
@@ -63,6 +65,7 @@ impl System {
             .io
             .map(|cfg| IoSource::new(processor.uarch(), cfg, &mut rng));
         let convention = SyscallConvention::default();
+        let conv_deltas = convention_deltas(&machine, &convention);
         let mut system = System {
             machine,
             timer,
@@ -71,7 +74,7 @@ impl System {
             skid: config.skid,
             threads: ThreadTable::new(),
             convention,
-            conv_mixes: convention_mixes(&convention),
+            conv_deltas,
             syscall_count: 0,
             preemption: config.preemption,
             ticks_since_switch: 0,
@@ -105,8 +108,8 @@ impl System {
         self.rng = rng;
         self.skid = config.skid;
         self.threads.reset();
-        // `convention` and its cached mixes are boot constants (no setter
-        // exists); nothing to restore.
+        // `convention` and its deltas are boot constants (no setter exists,
+        // and the processor stays); nothing to restore.
         self.syscall_count = 0;
         self.preemption = config.preemption;
         self.ticks_since_switch = 0;
@@ -230,16 +233,16 @@ impl System {
             return Err(KernelError::AlreadyInKernel);
         }
         self.syscall_count += 1;
-        let [user_entry, kernel_entry, kernel_exit, user_exit] = self.conv_mixes;
-        self.machine.execute_mix(&user_entry, Privilege::User);
+        let [user_entry, kernel_entry, kernel_exit, user_exit] = self.conv_deltas;
+        self.machine.commit_delta(&user_entry, Privilege::User);
         self.machine.set_privilege(Privilege::Kernel);
-        self.machine.execute_mix(&kernel_entry, Privilege::Kernel);
+        self.machine.commit_delta(&kernel_entry, Privilege::Kernel);
         self.machine.execute_mix(pre, Privilege::Kernel);
         let result = f(&mut self.machine);
         self.machine.execute_mix(post, Privilege::Kernel);
-        self.machine.execute_mix(&kernel_exit, Privilege::Kernel);
+        self.machine.commit_delta(&kernel_exit, Privilege::Kernel);
         self.machine.set_privilege(Privilege::User);
-        self.machine.execute_mix(&user_exit, Privilege::User);
+        self.machine.commit_delta(&user_exit, Privilege::User);
         self.deliver_due_ticks();
         result
     }
@@ -262,11 +265,13 @@ impl System {
     /// the per-mix path, which delivers it; then batching resumes.
     ///
     /// **Why it is exact.** [`counterlab_cpu::pmu::Pmu::commit`] adds a
-    /// delta linearly per privilege level, and each mix's delta (cycles
-    /// included) is an integer computed from that mix alone
-    /// ([`Machine::mix_delta`]). So `k` rounds committed at once leave
-    /// every counter, the TSC and the cycle clock where `k` rounds
-    /// committed one by one would, and no interrupt is skipped or moved.
+    /// delta to one pending delta per privilege level, which every counter
+    /// read adds in and every reconfiguration settles, so counting is
+    /// linear per privilege level; and each mix's delta (cycles included)
+    /// is an integer computed from that mix alone ([`Machine::mix_delta`]).
+    /// So `k` rounds committed at once leave every counter, the TSC and
+    /// the cycle clock where `k` rounds committed one by one would, and no
+    /// interrupt is skipped or moved.
     ///
     /// # Errors
     ///
@@ -281,17 +286,14 @@ impl System {
         if self.machine.privilege() == Privilege::Kernel {
             return Err(KernelError::AlreadyInKernel);
         }
-        let [user_entry, kernel_entry, kernel_exit, user_exit] = self.conv_mixes;
+        let [user_entry, kernel_entry, kernel_exit, user_exit] = self.conv_deltas;
         let m = &self.machine;
         let compute_delta = m.mix_delta(compute);
-        let user = compute_delta
-            .merged(&m.mix_delta(&user_entry))
-            .merged(&m.mix_delta(&user_exit));
-        let kernel = m
-            .mix_delta(&kernel_entry)
+        let user = compute_delta.merged(&user_entry).merged(&user_exit);
+        let kernel = kernel_entry
             .merged(&m.mix_delta(pre))
             .merged(&m.mix_delta(post))
-            .merged(&m.mix_delta(&kernel_exit));
+            .merged(&kernel_exit);
         let round_cycles = user.cycles + kernel.cycles;
         let mut remaining = rounds;
         while remaining > 0 {
@@ -433,7 +435,7 @@ impl System {
             // Over-count: a few instructions are counted both before and
             // after the interrupt.
             let extra = self.rng.gen_range(1..=self.skid.max_magnitude);
-            let delta = counterlab_cpu::pmu::EventDelta {
+            let delta = EventDelta {
                 instructions: extra,
                 ..Default::default()
             };
@@ -517,14 +519,16 @@ impl System {
     }
 }
 
-/// The four syscall-convention mixes in round-trip order.
-fn convention_mixes(conv: &SyscallConvention) -> [InstMix; 4] {
+/// The four syscall-convention mixes' deltas on `machine`, in round-trip
+/// order.
+fn convention_deltas(machine: &Machine, conv: &SyscallConvention) -> [EventDelta; 4] {
     [
         conv.user_entry_mix(),
         conv.kernel_entry_mix(),
         conv.kernel_exit_mix(),
         conv.user_exit_mix(),
     ]
+    .map(|mix| machine.mix_delta(&mix))
 }
 
 #[cfg(test)]
@@ -718,6 +722,22 @@ mod tests {
         );
         // Deviations are tiny relative to the workload (< 1e-3 relative).
         assert!(deviations.iter().all(|&d| d.abs() < 1000), "{deviations:?}");
+    }
+
+    #[test]
+    fn convention_deltas_are_the_convention_mixes_deltas() {
+        for processor in Processor::ALL {
+            let sys = System::new(processor, quiet_config());
+            let conv = sys.convention();
+            let m = Machine::new(processor);
+            let expected = [
+                m.mix_delta(&conv.user_entry_mix()),
+                m.mix_delta(&conv.kernel_entry_mix()),
+                m.mix_delta(&conv.kernel_exit_mix()),
+                m.mix_delta(&conv.user_exit_mix()),
+            ];
+            assert_eq!(sys.conv_deltas, expected, "{processor:?}");
+        }
     }
 
     #[test]
