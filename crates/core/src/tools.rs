@@ -13,7 +13,7 @@
 //! linker, libc startup and process teardown.
 
 use counterlab_cpu::mix::InstMix;
-use counterlab_kernel::syscall::{kernel_code_mix, user_code_mix};
+use counterlab_kernel::syscall::kernel_code_mix;
 
 use crate::benchmark::Benchmark;
 use crate::config::MeasurementConfig;
@@ -157,12 +157,12 @@ pub fn run_tool(
 
     // Startup: kernel exec work, then user-mode linking/init.
     run_kernel(&mut sys, tool.startup_kernel_instructions());
-    sys.run_user_mix(&user_code_mix(tool.startup_user_instructions()));
+    sys.run_user_code(tool.startup_user_instructions());
     // The benchmark itself (its placement is the child's own).
     benchmark.run(&mut sys, placement_for(&cfg, &benchmark));
     // Shutdown before the tool's final read.
     let (down_user, down_kernel) = tool.shutdown_instructions();
-    sys.run_user_mix(&user_code_mix(down_user));
+    sys.run_user_code(down_user);
     run_kernel(&mut sys, down_kernel);
 
     let process_wide = sys.machine().pmu().read_pmc(0).expect("programmed above");

@@ -196,8 +196,9 @@ impl Machine {
     /// committing it. A pure function of the mix and the
     /// micro-architecture: the same mix always yields the same delta,
     /// which is what lets the kernel commit repeated mixes in bulk.
-    // `execute_mix` runs on every retired mix: without the hint this and
-    // `commit_delta` stay out-of-line calls in it.
+    // The kernel prices every mix it still retires as a mix (benchmark
+    // bodies, perfctr's fast-read steps, interrupt handlers) through this
+    // from another crate: without the hint it stays an out-of-line call.
     #[inline]
     pub fn mix_delta(&self, mix: &InstMix) -> EventDelta {
         EventDelta {
@@ -211,6 +212,26 @@ impl Machine {
             // period.
             dcache_misses: mix.loads / Self::STRAIGHT_LOAD_MISS_PERIOD + mix.chase_loads,
             itlb_misses: 0,
+        }
+    }
+
+    /// The event delta of `instructions` of ordinary library or handler
+    /// code, shaped as the kernel's `syscall::user_code_mix` shapes a
+    /// budget (a tenth each loads and branches, a twentieth stores, the
+    /// rest ALU; plain ALU below 8 instructions), without building the mix.
+    /// Equal to [`Machine::mix_delta`] of that mix for every budget: the
+    /// branches are `n / 10`, the loads `n / 10`, so the d-cache misses
+    /// `n / 10 / 8`, and every shaped instruction is plain.
+    // The per-call hot path of every measurement library, called from the
+    // kernel crate.
+    #[inline]
+    pub fn shaped_delta(&self, instructions: u64) -> EventDelta {
+        EventDelta {
+            instructions,
+            cycles: timing::plain_cycles(self.uarch(), instructions),
+            branches: instructions / 10,
+            dcache_misses: instructions / 10 / Self::STRAIGHT_LOAD_MISS_PERIOD,
+            ..EventDelta::default()
         }
     }
 

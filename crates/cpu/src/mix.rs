@@ -182,7 +182,8 @@ impl MixBuilder {
 
     /// Adds branches, `taken` of which are taken.
     // Not a leaf (it calls `min`), so rustc would keep it out of line
-    // in other crates; every shaped library mix calls it.
+    // in other crates; the zoo's benchmark bodies and every interrupt
+    // handler's mix call it once per run or interrupt.
     #[inline]
     pub fn branches(mut self, n: u64, taken: u64) -> Self {
         self.mix.branches += n;

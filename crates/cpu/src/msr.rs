@@ -106,7 +106,8 @@ pub fn decode(uarch: &Uarch, addr: u32) -> Result<MsrTarget> {
 }
 
 /// The MSR address of programmable counter `i`'s event-select register.
-pub fn evtsel_address(uarch: &Uarch, i: usize) -> u32 {
+#[cfg(test)]
+pub(crate) fn evtsel_address(uarch: &Uarch, i: usize) -> u32 {
     match uarch.arch {
         MicroArch::Core2 => IA32_PERFEVTSEL0 + i as u32,
         MicroArch::K8 => K8_PERFEVTSEL0 + i as u32,
@@ -115,7 +116,8 @@ pub fn evtsel_address(uarch: &Uarch, i: usize) -> u32 {
 }
 
 /// The MSR address of programmable counter `i`'s value register.
-pub fn counter_address(uarch: &Uarch, i: usize) -> u32 {
+#[cfg(test)]
+pub(crate) fn counter_address(uarch: &Uarch, i: usize) -> u32 {
     match uarch.arch {
         MicroArch::Core2 => IA32_PMC0 + i as u32,
         MicroArch::K8 => K8_PERFCTR0 + i as u32,

@@ -195,31 +195,46 @@ pub struct PmuSnapshot {
 
 /// Fixed-function counter roles, in register order (Core 2's three fixed
 /// counters).
-const FIXED_EVENTS: [Event; 3] = [
+const FIXED_EVENTS: [Event; MAX_FIXED] = [
     Event::InstructionsRetired,
     Event::CoreCycles,
     Event::CoreCycles, // CPU_CLK_UNHALTED.REF — same source in this model
 ];
 
+/// The most programmable counters a modeled processor has (the Pentium
+/// D's 18, Table 1).
+pub const MAX_PMCS: usize = 18;
+
+/// The most fixed-function counters a modeled processor has (Core 2's
+/// three).
+pub const MAX_FIXED: usize = 3;
+
 /// The per-core performance monitoring unit.
 ///
 /// Counting is deferred. [`Pmu::commit`] runs on every retired
-/// instruction mix, so it only adds the delta to one pending delta per
-/// privilege level. A counter's true value is its stored value plus the
-/// pending events its current configuration counts. Every reader adds
+/// instruction mix and library-call step, so it only adds the delta to
+/// one pending delta per privilege level. A counter's true value is its
+/// stored value plus the pending events its current configuration counts. Every reader adds
 /// that part, and every mutator first settles it into the stored values,
 /// so no caller can tell deferred counting from eager counting.
+///
+/// The register files are inline arrays sized for the largest modeled
+/// PMU, of which the first [`Pmu::programmable_count`] and
+/// [`Pmu::fixed_count`] slots exist on this processor: booting a PMU
+/// allocates nothing, and resetting one stores a few words instead of
+/// filling heap buffers.
 #[derive(Debug, Clone)]
 pub struct Pmu {
     uarch: &'static Uarch,
-    pmc_values: Vec<u64>,
-    pmc_configs: Vec<Option<PmcConfig>>,
+    pmc_values: [u64; MAX_PMCS],
+    pmc_configs: [Option<PmcConfig>; MAX_PMCS],
     /// Indices of programmed counters, ascending. Settling walks this
     /// short list instead of scanning all slots (the Pentium D has 18,
-    /// rarely more than 4 of which are in use).
+    /// rarely more than 4 of which are in use). A slot has a
+    /// configuration exactly when its index is listed here.
     programmed: Vec<usize>,
-    fixed_values: Vec<u64>,
-    fixed_configs: Vec<Option<CountMode>>,
+    fixed_values: [u64; MAX_FIXED],
+    fixed_configs: [Option<CountMode>; MAX_FIXED],
     tsc: u64,
     /// Events committed since the last settle, indexed by [`level`].
     pending: [EventDelta; 2],
@@ -245,32 +260,42 @@ fn pending_count(pending: &[EventDelta; 2], event: Event, mode: CountMode) -> u6
 
 impl Pmu {
     /// Creates the PMU for a given micro-architecture (counter counts come
-    /// from Table 1 via [`Uarch`]).
+    /// from Table 1 via [`Uarch`]). Allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `uarch` has more than [`MAX_PMCS`] programmable or
+    /// [`MAX_FIXED`] fixed counters.
     pub fn new(uarch: &'static Uarch) -> Self {
+        assert!(
+            uarch.programmable_counters <= MAX_PMCS && uarch.fixed_counters <= MAX_FIXED,
+            "{} has more counters than the PMU model holds",
+            uarch.model_name
+        );
         Pmu {
             uarch,
-            pmc_values: vec![0; uarch.programmable_counters],
-            pmc_configs: vec![None; uarch.programmable_counters],
+            pmc_values: [0; MAX_PMCS],
+            pmc_configs: [None; MAX_PMCS],
             programmed: Vec::new(),
-            fixed_values: vec![0; uarch.fixed_counters],
-            fixed_configs: vec![None; uarch.fixed_counters],
+            fixed_values: [0; MAX_FIXED],
+            fixed_configs: [None; MAX_FIXED],
             tsc: 0,
             pending: [EventDelta::default(); 2],
         }
     }
 
     /// Returns the PMU to its power-on state — all counters deprogrammed
-    /// and zeroed, TSC at zero — while keeping the allocations
-    /// (the reuse path of measurement sessions). Equivalent to
+    /// and zeroed, TSC at zero — while keeping the programmed list's
+    /// allocation (the reuse path of measurement sessions). Equivalent to
     /// [`Pmu::new`] with the same micro-architecture.
     pub fn reset(&mut self) {
         for &idx in &self.programmed {
             self.pmc_configs[idx] = None;
         }
         self.programmed.clear();
-        self.pmc_values.fill(0);
-        self.fixed_values.fill(0);
-        self.fixed_configs.fill(None);
+        self.pmc_values = [0; MAX_PMCS];
+        self.fixed_values = [0; MAX_FIXED];
+        self.fixed_configs = [None; MAX_FIXED];
         self.tsc = 0;
         self.pending = [EventDelta::default(); 2];
     }
@@ -290,12 +315,12 @@ impl Pmu {
 
     /// Number of programmable counters.
     pub fn programmable_count(&self) -> usize {
-        self.pmc_values.len()
+        self.uarch.programmable_counters
     }
 
     /// Number of fixed-function counters (excluding the TSC).
     pub fn fixed_count(&self) -> usize {
-        self.fixed_values.len()
+        self.uarch.fixed_counters
     }
 
     /// Programs counter `index` with `config`, resetting its value to zero,
@@ -414,13 +439,8 @@ impl Pmu {
     /// [`CpuError::NoSuchCounter`] when this processor has no such fixed
     /// counter.
     pub fn read_fixed(&self, index: usize) -> Result<u64> {
-        self.fixed_values
-            .get(index)
-            .map(|value| value + self.fixed_pending(index))
-            .ok_or(CpuError::NoSuchCounter {
-                index,
-                available: self.fixed_values.len(),
-            })
+        self.check_fixed(index)?;
+        Ok(self.fixed_values[index] + self.fixed_pending(index))
     }
 
     /// Writes fixed counter `index` (kernel WRMSR data path).
@@ -430,12 +450,7 @@ impl Pmu {
     /// [`CpuError::NoSuchCounter`] when this processor has no such fixed
     /// counter.
     pub fn write_fixed(&mut self, index: usize, value: u64) -> Result<()> {
-        if index >= self.fixed_values.len() {
-            return Err(CpuError::NoSuchCounter {
-                index,
-                available: self.fixed_values.len(),
-            });
-        }
+        self.check_fixed(index)?;
         self.settle();
         self.fixed_values[index] = value;
         Ok(())
@@ -448,13 +463,8 @@ impl Pmu {
     /// [`CpuError::NoSuchCounter`] when this processor has no such fixed
     /// counter.
     pub fn fixed_config(&self, index: usize) -> Result<Option<CountMode>> {
-        self.fixed_configs
-            .get(index)
-            .copied()
-            .ok_or(CpuError::NoSuchCounter {
-                index,
-                available: self.fixed_values.len(),
-            })
+        self.check_fixed(index)?;
+        Ok(self.fixed_configs[index])
     }
 
     /// Sets fixed counter `index`'s mode without resetting its value (the
@@ -465,12 +475,7 @@ impl Pmu {
     /// [`CpuError::NoSuchCounter`] when this processor has no such fixed
     /// counter.
     pub fn set_fixed_mode(&mut self, index: usize, mode: Option<CountMode>) -> Result<()> {
-        if index >= self.fixed_values.len() {
-            return Err(CpuError::NoSuchCounter {
-                index,
-                available: self.fixed_values.len(),
-            });
-        }
+        self.check_fixed(index)?;
         self.settle();
         self.fixed_configs[index] = mode;
         Ok(())
@@ -506,7 +511,7 @@ impl Pmu {
         for &idx in &self.programmed {
             self.pmc_values[idx] += self.pmc_pending(idx);
         }
-        for i in 0..self.fixed_values.len() {
+        for i in 0..self.fixed_count() {
             self.fixed_values[i] += self.fixed_pending(i);
         }
         self.pending = [EventDelta::default(); 2];
@@ -531,10 +536,10 @@ impl Pmu {
     /// Captures all counter values (for context switches).
     pub fn snapshot(&self) -> PmuSnapshot {
         PmuSnapshot {
-            pmcs: (0..self.pmc_values.len())
+            pmcs: (0..self.programmable_count())
                 .map(|i| self.pmc_values[i] + self.pmc_pending(i))
                 .collect(),
-            fixed: (0..self.fixed_values.len())
+            fixed: (0..self.fixed_count())
                 .map(|i| self.fixed_values[i] + self.fixed_pending(i))
                 .collect(),
         }
@@ -545,19 +550,30 @@ impl Pmu {
     /// separately, exactly like the real context-switch path.
     pub fn restore(&mut self, snapshot: &PmuSnapshot) {
         self.settle();
-        for (dst, src) in self.pmc_values.iter_mut().zip(&snapshot.pmcs) {
+        let (pmcs, fixed) = (self.programmable_count(), self.fixed_count());
+        for (dst, src) in self.pmc_values[..pmcs].iter_mut().zip(&snapshot.pmcs) {
             *dst = *src;
         }
-        for (dst, src) in self.fixed_values.iter_mut().zip(&snapshot.fixed) {
+        for (dst, src) in self.fixed_values[..fixed].iter_mut().zip(&snapshot.fixed) {
             *dst = *src;
         }
     }
 
     fn check_pmc(&self, index: usize) -> Result<()> {
-        if index >= self.pmc_values.len() {
+        if index >= self.programmable_count() {
             return Err(CpuError::NoSuchCounter {
                 index,
-                available: self.pmc_values.len(),
+                available: self.programmable_count(),
+            });
+        }
+        Ok(())
+    }
+
+    fn check_fixed(&self, index: usize) -> Result<()> {
+        if index >= self.fixed_count() {
+            return Err(CpuError::NoSuchCounter {
+                index,
+                available: self.fixed_count(),
             });
         }
         Ok(())

@@ -94,21 +94,30 @@ impl std::fmt::Display for CyclesPerIteration {
 pub fn straight_cycles(uarch: &Uarch, mix: &InstMix) -> u64 {
     let plain = mix.alu + mix.branches + mix.loads + mix.chase_loads + mix.stores;
     let chase = mix.chase_loads * dcache_miss_penalty(uarch);
-    // One `div_ceil` per retired mix makes this the hottest division in
-    // the simulator; dispatching on the three shipped IPC constants lets
-    // the compiler strength-reduce each to a multiply (identical
-    // quotients), with the generic division kept for custom `Uarch`s.
+    plain_cycles(uarch, plain)
+        + chase
+        + mix.rdpmc * uarch.rdpmc_cycles
+        + mix.rdtsc * uarch.rdtsc_cycles
+        + (mix.rdmsr + mix.wrmsr) * uarch.msr_access_cycles
+}
+
+/// Cycles of `plain` instructions retiring at the sustainable IPC, rounded
+/// up to a whole cycle: the part of [`straight_cycles`] that ordinary
+/// (non-counter-access) code costs.
+// One `div_ceil` per retired mix or library-call step makes this the
+// hottest division in the simulator; dispatching on the three shipped IPC
+// constants lets the compiler strength-reduce each to a multiply
+// (identical quotients), with the generic division kept for custom
+// `Uarch`s.
+#[inline]
+pub fn plain_cycles(uarch: &Uarch, plain: u64) -> u64 {
     let n = plain * 100;
-    let base = match uarch.ipc_times_100 {
+    match uarch.ipc_times_100 {
         150 => n.div_ceil(150),
         220 => n.div_ceil(220),
         250 => n.div_ceil(250),
         d => n.div_ceil(d),
-    };
-    base + chase
-        + mix.rdpmc * uarch.rdpmc_cycles
-        + mix.rdtsc * uarch.rdtsc_cycles
-        + (mix.rdmsr + mix.wrmsr) * uarch.msr_access_cycles
+    }
 }
 
 /// Steady-state cycles per iteration of a tight loop whose body is `body`,

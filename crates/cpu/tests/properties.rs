@@ -284,6 +284,33 @@ proptest! {
         }
     }
 
+    /// The inline register files reset exactly: runs of random ops, each
+    /// ended by a [`Pmu::reset`] (as every reseeded measurement session
+    /// does), leave the real PMU equal to a fresh eager reference —
+    /// including counters that were written or restored but never
+    /// programmed, and the Pentium D's upper slots.
+    #[test]
+    fn reset_between_runs_matches_eager(
+        p in arb_processor(),
+        runs in prop::collection::vec(
+            prop::collection::vec((0u64..15, 0usize..64, 0u64..1_000_000, 0usize..42), 0..30),
+            1..8,
+        ),
+    ) {
+        let mut real = Pmu::new(p.uarch());
+        let mut eager = EagerPmu::new(p.uarch());
+        let mut saved = None;
+        for ops in runs {
+            for op in ops {
+                apply_op(&mut real, &mut eager, &mut saved, op)?;
+                assert_same(&real, &eager)?;
+            }
+            real.reset();
+            eager = EagerPmu::new(eager.uarch);
+            assert_same(&real, &eager)?;
+        }
+    }
+
     /// Retired-instruction counting is exact: the committed count equals
     /// the mix's instruction total, independent of processor.
     #[test]

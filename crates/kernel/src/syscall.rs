@@ -123,22 +123,19 @@ impl PathCost {
 }
 
 /// Shapes an instruction budget into a plausible user-library mix
-/// (~10% loads, ~5% stores, ~10% branches, the rest ALU).
-// perfctr, perfmon and PAPI shape every call's budgets through these two.
-#[inline]
+/// (~10% loads, ~5% stores, ~10% branches, the rest ALU). The measurement
+/// libraries' budgets never build it: [`Machine::shaped_delta`] is its
+/// delta in closed form.
 pub fn user_code_mix(instructions: u64) -> InstMix {
     shaped_mix(instructions)
 }
 
 /// Shapes an instruction budget into a plausible kernel-handler mix
 /// (same composition; kernel code is ordinary code).
-#[inline]
 pub fn kernel_code_mix(instructions: u64) -> InstMix {
     shaped_mix(instructions)
 }
 
-// Inlined with the two wrappers above into their callers' crates.
-#[inline]
 fn shaped_mix(instructions: u64) -> InstMix {
     if instructions < 8 {
         return InstMix::straight_line(instructions);
@@ -163,6 +160,11 @@ fn shaped_mix(instructions: u64) -> InstMix {
 /// analyzes: everything after one call's capture point and before the next
 /// call's capture point is *measurement error*.
 ///
+/// Each budget is committed as its closed-form delta
+/// ([`Machine::shaped_delta`]), with the same commits and interrupt checks
+/// as running [`user_code_mix`] and [`kernel_code_mix`] of it through
+/// [`System::run_user_mix`] and [`System::syscall`].
+///
 /// # Errors
 ///
 /// Propagates [`crate::KernelError`] from the syscall machinery and from
@@ -175,11 +177,11 @@ pub fn lib_syscall<R>(
     wrapper_post: u64,
     f: impl FnOnce(&mut Machine) -> Result<R>,
 ) -> Result<R> {
-    sys.run_user_mix(&user_code_mix(wrapper_pre));
-    let pre = kernel_code_mix(handler_pre);
-    let post = kernel_code_mix(handler_post);
-    let result = sys.syscall(&pre, f, &post)?;
-    sys.run_user_mix(&user_code_mix(wrapper_post));
+    sys.run_user_code(wrapper_pre);
+    let pre = sys.machine().shaped_delta(handler_pre);
+    let post = sys.machine().shaped_delta(handler_post);
+    let result = sys.syscall_delta(&pre, f, &post)?;
+    sys.run_user_code(wrapper_post);
     Ok(result)
 }
 
@@ -204,6 +206,22 @@ mod tests {
         for n in [0u64, 1, 3, 4, 5, 6, 100, 12345] {
             assert_eq!(user_code_mix(n).total_instructions(), n, "user n={n}");
             assert_eq!(kernel_code_mix(n).total_instructions(), n, "kernel n={n}");
+        }
+    }
+
+    /// The closed-form delta is the shaped mix's delta for every budget up
+    /// to a million instructions, on every processor.
+    #[test]
+    fn shaped_delta_is_the_shaped_mix_delta() {
+        for processor in Processor::ALL {
+            let m = Machine::new(processor);
+            for n in 0..=1_000_000 {
+                assert_eq!(
+                    m.shaped_delta(n),
+                    m.mix_delta(&shaped_mix(n)),
+                    "{processor} n={n}"
+                );
+            }
         }
     }
 

@@ -164,8 +164,26 @@ impl System {
     /// Runs a straight-line user-mode mix, then delivers any timer ticks
     /// that became due.
     pub fn run_user_mix(&mut self, mix: &InstMix) {
+        let delta = self.machine.mix_delta(mix);
+        self.run_user_delta(&delta);
+    }
+
+    /// Runs `instructions` of ordinary user-mode library code, then
+    /// delivers any timer ticks that became due: exactly
+    /// [`System::run_user_mix`] of
+    /// [`user_code_mix`](crate::syscall::user_code_mix)`(instructions)`,
+    /// priced in closed form ([`Machine::shaped_delta`]) instead of
+    /// through a built mix.
+    pub fn run_user_code(&mut self, instructions: u64) {
+        let delta = self.machine.shaped_delta(instructions);
+        self.run_user_delta(&delta);
+    }
+
+    /// Commits one straight-line user-mode step's delta, credits its
+    /// instructions to the running thread and delivers due interrupts.
+    fn run_user_delta(&mut self, delta: &EventDelta) {
         debug_assert_eq!(self.machine.privilege(), Privilege::User);
-        let delta = self.machine.execute_mix(mix, Privilege::User);
+        self.machine.commit_delta(delta, Privilege::User);
         let tid = self.threads.current();
         if let Some(t) = self.threads.get_mut(tid) {
             t.add_user_instructions(delta.instructions);
@@ -229,6 +247,27 @@ impl System {
         f: impl FnOnce(&mut Machine) -> Result<R>,
         post: &InstMix,
     ) -> Result<R> {
+        let pre = self.machine.mix_delta(pre);
+        let post = self.machine.mix_delta(post);
+        self.syscall_delta(&pre, f, &post)
+    }
+
+    /// [`System::syscall`] with the handler's `pre` and `post` parts given
+    /// as their event deltas: the one syscall sequence, which the mix form
+    /// and the library calls' budget form
+    /// ([`lib_syscall`](crate::syscall::lib_syscall)) both run. A delta
+    /// depends only on its code and the processor, so pricing the handler
+    /// parts before `f` runs changes nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`System::syscall`].
+    pub(crate) fn syscall_delta<R>(
+        &mut self,
+        pre: &EventDelta,
+        f: impl FnOnce(&mut Machine) -> Result<R>,
+        post: &EventDelta,
+    ) -> Result<R> {
         if self.machine.privilege() == Privilege::Kernel {
             return Err(KernelError::AlreadyInKernel);
         }
@@ -237,9 +276,9 @@ impl System {
         self.machine.commit_delta(&user_entry, Privilege::User);
         self.machine.set_privilege(Privilege::Kernel);
         self.machine.commit_delta(&kernel_entry, Privilege::Kernel);
-        self.machine.execute_mix(pre, Privilege::Kernel);
+        self.machine.commit_delta(pre, Privilege::Kernel);
         let result = f(&mut self.machine);
-        self.machine.execute_mix(post, Privilege::Kernel);
+        self.machine.commit_delta(post, Privilege::Kernel);
         self.machine.commit_delta(&kernel_exit, Privilege::Kernel);
         self.machine.set_privilege(Privilege::User);
         self.machine.commit_delta(&user_exit, Privilege::User);
@@ -261,8 +300,9 @@ impl System {
     /// it. They are committed as the round's user delta (compute + user
     /// entry + user exit) scaled by `k` at user level plus its kernel
     /// delta (kernel entry + `pre` + `post` + kernel exit) scaled by `k`
-    /// at kernel level. The one round an interrupt falls in runs through
-    /// the per-mix path, which delivers it; then batching resumes.
+    /// at kernel level. The one round an interrupt falls in runs step by
+    /// step ([`System::run_user_mix`], then [`System::syscall`]), which
+    /// delivers it; then batching resumes.
     ///
     /// **Why it is exact.** [`counterlab_cpu::pmu::Pmu::commit`] adds a
     /// delta to one pending delta per privilege level, which every counter
@@ -311,7 +351,7 @@ impl System {
             }
             remaining -= k;
             if remaining > 0 {
-                // An interrupt falls in this round: run it mix by mix.
+                // An interrupt falls in this round: run it step by step.
                 self.run_user_mix(compute);
                 self.syscall(pre, |_| Ok(()), post)?;
                 remaining -= 1;

@@ -6,7 +6,7 @@ use counterlab_cpu::mix::InstMix;
 use counterlab_cpu::pmu::{CountMode, Event, EventDelta, PmcConfig, PmuSnapshot};
 use counterlab_cpu::uarch::Processor;
 use counterlab_kernel::config::{IoInterrupts, KernelConfig, Preemption, SkidModel};
-use counterlab_kernel::syscall::{kernel_code_mix, user_code_mix};
+use counterlab_kernel::syscall::{kernel_code_mix, lib_syscall, user_code_mix};
 use counterlab_kernel::system::System;
 use counterlab_kernel::thread::ThreadId;
 use proptest::prelude::*;
@@ -42,6 +42,52 @@ fn reference_rounds(
         sys.run_user_mix(compute);
         sys.syscall(pre, |_| Ok(()), post).unwrap();
     }
+}
+
+/// The per-mix reference for [`lib_syscall`]: each budget shaped into its
+/// mix and run through [`System::run_user_mix`] and [`System::syscall`].
+fn reference_lib_syscall<R>(
+    sys: &mut System,
+    wrapper_pre: u64,
+    handler_pre: u64,
+    handler_post: u64,
+    wrapper_post: u64,
+    f: impl FnOnce(&mut counterlab_cpu::machine::Machine) -> counterlab_kernel::Result<R>,
+) -> counterlab_kernel::Result<R> {
+    sys.run_user_mix(&user_code_mix(wrapper_pre));
+    let result = sys.syscall(
+        &kernel_code_mix(handler_pre),
+        f,
+        &kernel_code_mix(handler_post),
+    )?;
+    sys.run_user_mix(&user_code_mix(wrapper_post));
+    Ok(result)
+}
+
+/// The privileged work of one library call, as the kernel extensions do
+/// it: read every programmed counter (which must see the handler's pre
+/// half), then `action` — nothing, zero counter 0, or reprogram counter 0
+/// under `mode` — and read counter 0 again.
+fn capture(
+    m: &mut counterlab_cpu::machine::Machine,
+    action: u8,
+    mode: CountMode,
+) -> counterlab_kernel::Result<Vec<u64>> {
+    let pmu = m.pmu_mut();
+    let mut reads: Vec<u64> = (0..pmu.programmable_count())
+        .map(|i| pmu.read_pmc(i).unwrap())
+        .collect();
+    reads.push(pmu.tsc());
+    match action {
+        0 => {}
+        1 => pmu.write_pmc(0, 0).unwrap(),
+        _ => {
+            pmu.program(0, PmcConfig::counting(Event::InstructionsRetired, mode))
+                .unwrap();
+        }
+    }
+    reads.push(pmu.read_pmc(0).unwrap());
+    Ok(reads)
 }
 
 /// Everything a run of syscall rounds can change, as seen from outside.
@@ -259,6 +305,105 @@ proptest! {
                 let mut batched = boot();
                 batched.run_syscall_rounds(&compute, &pre, &post, rounds).unwrap();
                 prop_assert_eq!(observe(&batched), observe(&expected), "{:?} {:?}", mode, events);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The closed-form library path is exact: [`lib_syscall`] and
+    /// [`System::run_user_code`], against the per-mix reference, agree on
+    /// what the privileged work reads and on every counter (programmable
+    /// and fixed), the cycle clock and TSC, ticks delivered, the syscall
+    /// count and each thread's user instructions and saved counters —
+    /// after every call of a random sequence, with budgets from empty
+    /// (below the 8-instruction shaping threshold) to many timer periods,
+    /// the perfctr fast-read steps in between, user and user+kernel
+    /// counting, timer ticks, Poisson I/O interrupts, skid and preemption
+    /// by a background thread.
+    #[test]
+    fn closed_form_calls_match_per_mix_reference(
+        p in arb_processor(),
+        seed in any::<u64>(),
+        hz in prop_oneof![Just(0u32), Just(250u32), Just(1_000u32), Just(100_000u32)],
+        io_rate in prop_oneof![Just(None), (1_000u32..200_000).prop_map(Some)],
+        timeslice in 1u32..4,
+        skid in any::<bool>(),
+        user_kernel in any::<bool>(),
+        warmup_iters in 0u64..200_000,
+        ops in prop::collection::vec(
+            (0u8..5, 0u64..3_000, 0u64..3_000, 0u64..3_000, 0u64..3_000),
+            1..60,
+        ),
+    ) {
+        let mut cfg = KernelConfig::default().with_seed(seed).with_hz(hz);
+        cfg.skid = if skid {
+            SkidModel { plus_probability: 0.3, minus_probability: 0.3, max_magnitude: 4 }
+        } else {
+            SkidModel::disabled()
+        };
+        if let Some(rate_hz) = io_rate {
+            cfg = cfg.with_io(IoInterrupts { rate_hz, handler_instructions: 1_500 });
+        }
+        cfg = cfg.with_preemption(Preemption {
+            timeslice_ticks: timeslice,
+            background_instructions: 20_000,
+        });
+        let mode = if user_kernel { CountMode::UserAndKernel } else { CountMode::UserOnly };
+        let width = System::new(p, cfg.clone()).machine().pmu().programmable_count();
+        for events in Event::ALL.chunks(width) {
+            let boot = || {
+                let mut sys = System::new(p, cfg.clone());
+                sys.spawn_thread("background");
+                program_counters(&mut sys, mode, events);
+                sys.run_user_loop(&InstMix::LOOP_BODY, warmup_iters, CodePlacement::at(0x0804_9000));
+                sys
+            };
+            let mut expected = boot();
+            let mut closed = boot();
+            for (i, &(kind, a, b, c, d)) in ops.iter().enumerate() {
+                match kind {
+                    0 => {
+                        expected.run_user_mix(&user_code_mix(a));
+                        closed.run_user_code(a);
+                    }
+                    1 => {
+                        // A budget spanning many timer periods at 100 kHz.
+                        let n = a * 1_000 + b;
+                        expected.run_user_mix(&user_code_mix(n));
+                        closed.run_user_code(n);
+                    }
+                    2 => {
+                        // perfctr's fast read: a prologue, then rdtsc/rdpmc steps.
+                        let rdtsc = counterlab_cpu::mix::MixBuilder::new().rdtsc(1).build();
+                        let rdpmc = counterlab_cpu::mix::MixBuilder::new().alu(c % 8).rdpmc(1).build();
+                        expected.run_user_mix(&user_code_mix(a));
+                        closed.run_user_code(a);
+                        for sys in [&mut expected, &mut closed] {
+                            sys.run_user_mix(&rdtsc);
+                            sys.run_user_mix(&rdpmc);
+                        }
+                    }
+                    _ => {
+                        let action = (d % 3) as u8;
+                        let want = reference_lib_syscall(&mut expected, a, b, c, d, |m| {
+                            capture(m, action, mode)
+                        })
+                        .unwrap();
+                        let got = lib_syscall(&mut closed, a, b, c, d, |m| capture(m, action, mode))
+                            .unwrap();
+                        prop_assert_eq!(got, want, "reads of op {}", i);
+                    }
+                }
+                prop_assert_eq!(
+                    observe(&closed),
+                    observe(&expected),
+                    "{:?} after op {}",
+                    events,
+                    i
+                );
             }
         }
     }

@@ -1,5 +1,5 @@
 //! The PAPI high-level API (`PAPI_start_counters`, `PAPI_read_counters`,
-//! `PAPI_accum_counters`, `PAPI_stop_counters`).
+//! `PAPI_stop_counters`).
 //!
 //! “To allow an even simpler programming model, PAPI provides a high level
 //! API that requires almost no configuration” (§2.4). The convenience has
@@ -12,7 +12,6 @@
 //!    read-read and read-stop patterns (§3.5).
 
 use counterlab_cpu::pmu::{CountMode, Event};
-use counterlab_kernel::syscall::user_code_mix;
 use counterlab_kernel::system::System;
 
 use crate::backend::{Backend, BackendKind};
@@ -55,7 +54,7 @@ pub struct PapiHighLevel {
     /// Reused (native event, mode) pairs handed to the substrate by
     /// `PAPI_start_counters`, so a measurement loop allocates nothing.
     native: Vec<(Event, CountMode)>,
-    /// Reused counter sample of the read/accum/stop calls — same purpose.
+    /// Reused counter sample of the read/stop calls — same purpose.
     sample: Vec<u64>,
 }
 
@@ -83,7 +82,7 @@ impl PapiHighLevel {
     pub fn attach(kind: BackendKind, sys: System, seed: u64) -> Result<Self> {
         let mut backend = Backend::attach(kind, sys, seed)?;
         // PAPI_library_init (implicit in the first high-level call).
-        backend.system_mut().run_user_mix(&user_code_mix(600));
+        backend.system_mut().run_user_code(600);
         Ok(PapiHighLevel {
             backend,
             events: Vec::new(),
@@ -109,7 +108,7 @@ impl PapiHighLevel {
     ) -> Result<()> {
         self.backend.reseed(kernel, seed)?;
         // PAPI_library_init (implicit in the first high-level call).
-        self.backend.system_mut().run_user_mix(&user_code_mix(600));
+        self.backend.system_mut().run_user_code(600);
         self.events.clear();
         self.domain = PapiDomain::default();
         self.running = false;
@@ -212,34 +211,6 @@ impl PapiHighLevel {
         Ok(())
     }
 
-    /// `PAPI_accum_counters`: adds the counts into `values` and resets.
-    ///
-    /// # Errors
-    ///
-    /// As [`PapiHighLevel::read_counters`].
-    pub fn accum_counters(&mut self, values: &mut [i64]) -> Result<()> {
-        if !self.running {
-            return Err(PapiError::InvalidState {
-                operation: "PAPI_accum_counters",
-                state: "stopped",
-            });
-        }
-        if values.len() != self.events.len() {
-            return Err(PapiError::LengthMismatch {
-                expected: self.events.len(),
-                got: values.len(),
-            });
-        }
-        self.wrap_pre();
-        self.backend.read_into(&mut self.sample)?;
-        self.backend.reset()?;
-        self.wrap_post();
-        for (dst, &v) in values.iter_mut().zip(&self.sample) {
-            *dst += v as i64;
-        }
-        Ok(())
-    }
-
     /// `PAPI_stop_counters`: stops counting and stores the final counts.
     ///
     /// # Errors
@@ -277,13 +248,13 @@ impl PapiHighLevel {
     fn wrap_pre(&mut self) {
         self.backend
             .system_mut()
-            .run_user_mix(&user_code_mix(HIGH_LEVEL_EXTRA_PRE + LOW_LEVEL_PRE));
+            .run_user_code(HIGH_LEVEL_EXTRA_PRE + LOW_LEVEL_PRE);
     }
 
     fn wrap_post(&mut self) {
         self.backend
             .system_mut()
-            .run_user_mix(&user_code_mix(HIGH_LEVEL_EXTRA_POST + LOW_LEVEL_POST));
+            .run_user_code(HIGH_LEVEL_EXTRA_POST + LOW_LEVEL_POST);
     }
 }
 
@@ -379,22 +350,9 @@ mod tests {
             })
         ));
         assert!(matches!(
-            papi.accum_counters(&mut wrong),
-            Err(PapiError::LengthMismatch { .. })
-        ));
-        assert!(matches!(
             papi.stop_counters(&mut wrong),
             Err(PapiError::LengthMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn accum_adds_into_buffer() {
-        let mut papi = booted(BackendKind::Perfctr);
-        papi.start_counters(&[PapiPreset::PAPI_TOT_INS]).unwrap();
-        let mut acc = vec![1_000_000i64];
-        papi.accum_counters(&mut acc).unwrap();
-        assert!(acc[0] >= 1_000_000, "accumulates, not overwrites");
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! (perfmon, Table 3).
 
 use counterlab_cpu::pmu::{CountMode, Event};
-use counterlab_kernel::syscall::user_code_mix;
 use counterlab_kernel::system::System;
 
 use crate::backend::{Backend, BackendKind};
@@ -90,7 +89,7 @@ impl PapiLowLevel {
     pub fn attach(kind: BackendKind, sys: System, seed: u64) -> Result<Self> {
         let mut backend = Backend::attach(kind, sys, seed)?;
         // PAPI_library_init: component discovery, preset table setup.
-        backend.system_mut().run_user_mix(&user_code_mix(600));
+        backend.system_mut().run_user_code(600);
         Ok(PapiLowLevel {
             backend,
             events: Vec::new(),
@@ -119,7 +118,7 @@ impl PapiLowLevel {
     ) -> Result<()> {
         self.backend.reseed(kernel, seed)?;
         // PAPI_library_init: component discovery, preset table setup.
-        self.backend.system_mut().run_user_mix(&user_code_mix(600));
+        self.backend.system_mut().run_user_code(600);
         self.events.clear();
         self.domain = PapiDomain::default();
         self.state = EventSetState::Stopped;
@@ -335,15 +334,11 @@ impl PapiLowLevel {
     }
 
     fn wrap_pre(&mut self) {
-        self.backend
-            .system_mut()
-            .run_user_mix(&user_code_mix(LOW_LEVEL_PRE));
+        self.backend.system_mut().run_user_code(LOW_LEVEL_PRE);
     }
 
     fn wrap_post(&mut self) {
-        self.backend
-            .system_mut()
-            .run_user_mix(&user_code_mix(LOW_LEVEL_POST));
+        self.backend.system_mut().run_user_code(LOW_LEVEL_POST);
     }
 }
 

@@ -11,7 +11,7 @@
 use counterlab_cpu::pmu::{CountMode, Event, PmcConfig};
 use counterlab_cpu::uarch::Processor;
 use counterlab_kernel::config::KernelConfig;
-use counterlab_kernel::syscall::{lib_syscall, user_code_mix};
+use counterlab_kernel::syscall::lib_syscall;
 use counterlab_kernel::system::System;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -379,7 +379,7 @@ impl Perfctr {
         let per_counter_post = self.costs.fast_read_per_counter_post;
 
         // Pre side: wrapper prologue + rdtsc + per-counter page loads.
-        self.sys.run_user_mix(&user_code_mix(pre.saturating_sub(1)));
+        self.sys.run_user_code(pre.saturating_sub(1));
         let tsc = self.sys.machine().rdtsc();
         self.sys
             .run_user_mix(&counterlab_cpu::mix::MixBuilder::new().rdtsc(1).build());

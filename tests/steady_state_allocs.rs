@@ -138,7 +138,8 @@ fn same_stack_reuse_allocates_nothing() {
 /// boots once per stack at one worker: its records cost exactly what the
 /// same cells listed stack by stack cost, plus the one allocation of the
 /// runner's execution order. Were the runner to run the cells in plan
-/// order, every cell would boot a stack (about 18 allocations each).
+/// order, every cell would boot a stack (14 to 18 allocations each, with its
+/// first run).
 #[test]
 fn interleaved_stacks_boot_once_per_stack() {
     let zoo = workload::cells();
@@ -158,4 +159,26 @@ fn interleaved_stacks_boot_once_per_stack() {
     let (interleaved, _) = records(&zoo);
     let (grouped, _) = records(&by_stack);
     assert_eq!(interleaved, grouped + 1, "one boot per stack, not per cell");
+}
+
+/// Allocations of one session boot, on every processor × interface stack.
+/// The PMU's register files are inline, so booting one allocates
+/// nothing; what is left is the system and the interface's own buffers.
+const SESSION_BOOT_ALLOCATIONS: u64 = 10;
+
+/// Booting a session costs exactly [`SESSION_BOOT_ALLOCATIONS`] on every
+/// stack, and booting a PMU allocates nothing: the per-run zero checks
+/// above cannot see boot-time allocations creep back.
+#[test]
+fn session_boot_allocations_are_pinned() {
+    for processor in PROCESSORS {
+        let (n, _pmu) = allocations(|| counterlab::cpu::pmu::Pmu::new(processor.uarch()));
+        assert_eq!(n, 0, "Pmu::new on {processor}");
+        for interface in Interface::ALL {
+            let cfg = MeasurementConfig::new(processor, interface);
+            let (n, session) = allocations(|| MeasurementSession::new(&cfg, Benchmark::Null));
+            session.unwrap();
+            assert_eq!(n, SESSION_BOOT_ALLOCATIONS, "{processor}/{interface}");
+        }
+    }
 }
