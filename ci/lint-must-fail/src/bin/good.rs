@@ -1,5 +1,5 @@
 //! Follows every convention the other fixtures break: clippy must accept it.
-// header of: serve wire exec grid measure
+// header of: serve wire exec grid measure sweep
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
 // header of: serve wire
 #![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]

@@ -101,29 +101,12 @@ impl Compensator {
     pub fn residual(&self, record: &Record) -> i64 {
         self.corrected(record) - record.expected as i64
     }
-
-    /// Whether `record` was taken with a configuration this compensator
-    /// is valid for (everything but the seed must match — §8 warns that
-    /// changing any factor changes the fixed cost).
-    pub fn applies_to(&self, record: &Record) -> bool {
-        let a = self.config;
-        let b = record.config;
-        a.processor == b.processor
-            && a.interface == b.interface
-            && a.pattern == b.pattern
-            && a.opt_level == b.opt_level
-            && a.counters == b.counters
-            && a.tsc_on == b.tsc_on
-            && a.mode == b.mode
-            && a.event == b.event
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::interface::{CountingMode, Interface};
-    use crate::pattern::Pattern;
     use counterlab_cpu::uarch::Processor;
 
     fn base() -> MeasurementConfig {
@@ -180,16 +163,6 @@ mod tests {
             residual > 3_000,
             "duration error must survive compensation: {residual}"
         );
-    }
-
-    #[test]
-    fn applies_to_checks_configuration() {
-        let cfg = base();
-        let comp = Compensator::calibrate(&cfg, 5).unwrap();
-        let same = run_measurement(&cfg.with_seed(99), Benchmark::Null).unwrap();
-        assert!(comp.applies_to(&same));
-        let other = run_measurement(&cfg.with_pattern(Pattern::ReadRead), Benchmark::Null).unwrap();
-        assert!(!comp.applies_to(&other));
     }
 
     #[test]

@@ -121,19 +121,9 @@ impl Interface {
         Self::ALL.into_iter().find(|i| i.code() == code)
     }
 
-    /// Whether this stack sits on perfctr (vs perfmon2).
-    pub fn uses_perfctr(self) -> bool {
-        matches!(self, Interface::Pc | Interface::PLpc | Interface::PHpc)
-    }
-
     /// Whether this is a PAPI high-level interface.
     pub fn is_high_level(self) -> bool {
         matches!(self, Interface::PHpm | Interface::PHpc)
-    }
-
-    /// Whether this is any PAPI interface.
-    pub fn is_papi(self) -> bool {
-        !matches!(self, Interface::Pm | Interface::Pc)
     }
 
     /// Whether the interface supports a pattern. Only the PAPI high-level
@@ -537,11 +527,7 @@ mod tests {
 
     #[test]
     fn classification() {
-        assert!(Interface::PLpc.uses_perfctr());
-        assert!(!Interface::PLpm.uses_perfctr());
         assert!(Interface::PHpm.is_high_level());
-        assert!(Interface::PHpm.is_papi());
-        assert!(!Interface::Pc.is_papi());
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //! * [`MeasurementSession`] — validates a cell and boots its stack, then
 //!   runs any number of seeded repetitions against that stack via the
 //!   reseed path, with the placement, event selection and kernel template
-//!   hoisted out of the per-repetition loop. [`MeasurementSession::reuse`]
-//!   re-targets a finished session to the next cell when both run on the
-//!   same processor × interface, so the sweep runner ([`crate::sweep`],
-//!   the only caller a clippy rule allows) boots **once per stack per
-//!   worker**, not once per cell: cells of the paper's 170 000-measurement
+//!   hoisted out of the per-repetition loop. The sweep runner
+//!   ([`crate::sweep`]) re-targets a finished session to the next cell
+//!   when both run on the same processor × interface (a crate-private
+//!   step), so it boots **once per stack per worker**, not once per
+//!   cell: cells of the paper's 170 000-measurement
 //!   sweep differ only in factors the reseed path already restores, so
 //!   paying the full boot per cell (or per repetition) was pure overhead.
 
@@ -57,17 +57,6 @@ impl Record {
     /// skid can make user-mode errors slightly negative.
     pub fn error(&self) -> i64 {
         self.measured as i64 - self.expected as i64
-    }
-
-    /// Error normalized per loop iteration (the y-axis of Figures 7/8);
-    /// `None` for the null benchmark.
-    pub fn error_per_iteration(&self) -> Option<f64> {
-        let iters = self.benchmark.iterations();
-        if iters == 0 {
-            None
-        } else {
-            Some(self.error() as f64 / iters as f64)
-        }
     }
 }
 
@@ -116,8 +105,8 @@ const INTERFACE_SEED_XOR: u64 = 0x5EED;
 
 /// A reusable measurement stack: the simulated system is validated and
 /// booted once, then any number of seeded repetitions run against it
-/// through the reseed path, and [`MeasurementSession::reuse`] hands it on
-/// to the next cell of the same processor × interface.
+/// through the reseed path, and the sweep runner hands it on to the next
+/// cell of the same processor × interface.
 ///
 /// Every run is bit-identical to [`run_measurement`] with the same
 /// configuration and seed — the reseed path restores the exact
@@ -133,8 +122,10 @@ const INTERFACE_SEED_XOR: u64 = 0x5EED;
 /// ```
 /// use counterlab::benchmark::Benchmark;
 /// use counterlab::config::MeasurementConfig;
+/// use counterlab::exec::RunOptions;
 /// use counterlab::interface::Interface;
 /// use counterlab::measure::{run_measurement, MeasurementSession};
+/// use counterlab::sweep::Plan;
 /// use counterlab_cpu::uarch::Processor;
 ///
 /// # fn main() -> counterlab::Result<()> {
@@ -145,10 +136,12 @@ const INTERFACE_SEED_XOR: u64 = 0x5EED;
 ///     let fresh = run_measurement(&cfg.with_seed(seed), Benchmark::Null)?;
 ///     assert_eq!(reused, fresh);
 /// }
-/// // The next cell on the same stack re-targets it instead of booting.
-/// let next = cfg.with_counters(2).with_hz(0);
-/// let mut session = MeasurementSession::reuse(Some(session), &next, Benchmark::Null)?;
-/// assert_eq!(session.run(4)?, run_measurement(&next.with_seed(4), Benchmark::Null)?);
+/// // A sweep's next cell on the same stack re-targets the session instead
+/// // of booting one.
+/// let cells = [cfg, cfg.with_counters(2).with_hz(0)];
+/// let plan = Plan::new(2, 1, 1, |c| (cells[c], Benchmark::Null), |c, _| 4 + c as u64);
+/// let records = plan.records(&RunOptions::sequential())?;
+/// assert_eq!(records[1], run_measurement(&cells[1].with_seed(5), Benchmark::Null)?);
 /// # Ok(()) }
 /// ```
 #[derive(Debug)]
@@ -188,7 +181,6 @@ impl MeasurementSession {
     /// * [`crate::CoreError::InvalidConfig`] when the processor lacks the
     ///   requested number of counters;
     /// * substrate boot errors propagate.
-    #[expect(clippy::disallowed_methods, reason = "a new session is a re-target of none")]
     pub fn new(config: &MeasurementConfig, benchmark: Benchmark) -> Result<Self> {
         Self::reuse(None, config, benchmark)
     }
@@ -207,7 +199,7 @@ impl MeasurementSession {
     ///
     /// As [`MeasurementSession::new`], checked before `prev` is looked at
     /// (an invalid cell drops `prev`).
-    pub fn reuse(
+    pub(crate) fn reuse(
         prev: Option<MeasurementSession>,
         config: &MeasurementConfig,
         benchmark: Benchmark,
@@ -407,8 +399,10 @@ pub fn expected_count(config: &MeasurementConfig, benchmark: &Benchmark) -> u64 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::OptLevel;
     use crate::interface::Interface;
     use counterlab_cpu::uarch::Processor;
+    use proptest::prelude::*;
 
     fn base(interface: Interface) -> MeasurementConfig {
         MeasurementConfig::new(Processor::AthlonK8, interface).with_hz(0)
@@ -637,16 +631,6 @@ mod tests {
     }
 
     #[test]
-    fn error_per_iteration() {
-        let cfg = base(Interface::Pm);
-        let rec = run_measurement(&cfg, Benchmark::Loop { iters: 1000 }).unwrap();
-        let e = rec.error_per_iteration().unwrap();
-        assert!(e >= 0.0);
-        let null = run_measurement(&cfg, Benchmark::Null).unwrap();
-        assert!(null.error_per_iteration().is_none());
-    }
-
-    #[test]
     fn user_mode_loop_error_is_fixed_cost_only() {
         // Without timer interrupts, the user-mode error must not depend on
         // loop length (§5's expectation for user counts).
@@ -661,5 +645,83 @@ mod tests {
         let cfg = base(Interface::Pc).with_mode(CountingMode::Kernel);
         let rec = run_measurement(&cfg, Benchmark::Loop { iters: 100 }).unwrap();
         assert_eq!(rec.expected, 0);
+    }
+
+    /// An arbitrary cell, valid or not, on stack `home + offset` of the 18
+    /// processor × interface stacks — the offset is 0 for most cells, so a
+    /// chain of cells mostly re-targets one stack and now and then moves to
+    /// another. Everything else is arbitrary: pattern (read-first patterns are
+    /// unsupported on PAPI high level), build optimization level, counting
+    /// mode, event, counter count (0 and counts beyond the processor's
+    /// registers are invalid), TSC setting, timer frequency, zoo benchmark
+    /// (short, or long enough for timer ticks to land) and boot seed (often a
+    /// shared one, so a session handed on unrun meets a cell armed for the
+    /// same seed).
+    fn arb_cell() -> impl Strategy<Value = (usize, MeasurementConfig, Benchmark)> {
+        (
+            prop_oneof![Just(0usize), Just(0usize), Just(0usize), 0usize..18],
+            (0usize..4, 0usize..4, 0usize..3, 0usize..Event::ALL.len()),
+            prop_oneof![1usize..=4, 1usize..=4, 0usize..=5],
+            any::<bool>(),
+            prop_oneof![Just(0u32), Just(250u32), Just(1000u32)],
+            (0usize..8, prop_oneof![1u64..3_000, 1_000_000u64..8_000_000]),
+            prop_oneof![Just(7u64), any::<u64>()],
+        )
+            .prop_map(
+                |(offset, (pat, opt, mode, event), counters, tsc_on, hz, (b, iters), seed)| {
+                    let cfg = MeasurementConfig::new(Processor::Core2Duo, Interface::Pm)
+                        .with_pattern(Pattern::ALL[pat])
+                        .with_opt_level(OptLevel::ALL[opt])
+                        .with_mode(CountingMode::ALL[mode])
+                        .with_event(Event::ALL[event])
+                        .with_counters(counters)
+                        .with_tsc(tsc_on)
+                        .with_hz(hz)
+                        .with_seed(seed);
+                    (offset, cfg, Benchmark::zoo(iters)[b])
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One chain of `MeasurementSession::reuse` calls over an arbitrary
+        /// sequence of cells — same stack or not, valid or not — gives every
+        /// valid cell records bit-identical to fresh boots (its boot seed
+        /// first, then another seed; sessions are also handed on after no
+        /// run), and every invalid cell the very error
+        /// `MeasurementSession::new` gives it.
+        #[test]
+        fn reuse_chain_matches_fresh_boots(
+            home in 0usize..18,
+            cells in proptest::collection::vec((arb_cell(), 0usize..4), 1..10),
+            extra_seed in any::<u64>(),
+        ) {
+            let processors = [Processor::PentiumD, Processor::Core2Duo, Processor::AthlonK8];
+            let mut prev = None;
+            for ((offset, cfg, benchmark), runs) in cells {
+                let stack = (home + offset) % 18;
+                let cfg = MeasurementConfig {
+                    processor: processors[stack / 6],
+                    interface: Interface::ALL[stack % 6],
+                    ..cfg
+                };
+                match MeasurementSession::reuse(prev.take(), &cfg, benchmark) {
+                    Ok(mut session) => {
+                        for &seed in [cfg.seed, extra_seed, cfg.seed].iter().take(runs) {
+                            let fresh = run_measurement(&cfg.with_seed(seed), benchmark).unwrap();
+                            prop_assert_eq!(session.run(seed).unwrap(), fresh, "{:?}", cfg);
+                        }
+                        prev = Some(session);
+                    }
+                    Err(err) => {
+                        let boot = MeasurementSession::new(&cfg, benchmark).unwrap_err();
+                        prop_assert_eq!(&err, &boot, "{:?}", cfg);
+                        prop_assert_eq!(&err, &run_measurement(&cfg, benchmark).unwrap_err());
+                    }
+                }
+            }
+        }
     }
 }

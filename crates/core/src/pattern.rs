@@ -58,11 +58,6 @@ impl Pattern {
         matches!(self, Pattern::ReadRead | Pattern::ReadStop)
     }
 
-    /// Whether the pattern's closing operation includes a stop.
-    pub fn ends_with_stop(self) -> bool {
-        matches!(self, Pattern::StartStop | Pattern::ReadStop)
-    }
-
     /// Parses a two-letter code.
     pub fn from_code(code: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|p| p.code() == code)
@@ -111,9 +106,6 @@ mod tests {
         assert!(Pattern::ReadRead.begins_with_read());
         assert!(Pattern::ReadStop.begins_with_read());
         assert!(!Pattern::StartRead.begins_with_read());
-        assert!(Pattern::StartStop.ends_with_stop());
-        assert!(Pattern::ReadStop.ends_with_stop());
-        assert!(!Pattern::StartRead.ends_with_stop());
     }
 
     #[test]

@@ -67,11 +67,6 @@ impl BranchTargetBuffer {
         self.sets.lookup_insert(idx, addr)
     }
 
-    /// Whether two branch addresses contend for the same set.
-    pub fn conflicts(&self, a: u64, b: u64) -> bool {
-        a != b && self.set_index(a) == self.set_index(b)
-    }
-
     /// Steady-state prediction accuracy for a loop branch at `branch_addr`
     /// when `environment` branches are also live each iteration: returns
     /// `true` if the loop branch survives in its set every iteration.
@@ -105,9 +100,6 @@ mod tests {
         // Addresses 16*4=64 bytes apart map to the same set.
         assert_eq!(btb.set_index(0x0), btb.set_index(64));
         assert_ne!(btb.set_index(0x0), btb.set_index(4));
-        assert!(btb.conflicts(0x0, 64));
-        assert!(!btb.conflicts(0x0, 4));
-        assert!(!btb.conflicts(0x0, 0x0), "same address is not a conflict");
     }
 
     #[test]

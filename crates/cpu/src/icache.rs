@@ -89,14 +89,6 @@ impl ICache {
         }
         misses
     }
-
-    /// Number of lines a block of `bytes` at `addr` occupies.
-    pub fn lines_spanned(&self, addr: u64, bytes: u64) -> u64 {
-        if bytes == 0 {
-            return 0;
-        }
-        (addr + bytes - 1) / self.line_bytes - addr / self.line_bytes + 1
-    }
 }
 
 /// `sets × ways` tags with LRU replacement within each set: the storage
@@ -252,7 +244,6 @@ mod tests {
     fn block_access_counts_lines() {
         let mut ic = ICache::new(1024, 64, 2);
         // 100 bytes at offset 60 spans lines 0 and 1 and part of line 2.
-        assert_eq!(ic.lines_spanned(60, 100), 3);
         assert_eq!(ic.access_block(60, 100), 3);
         assert_eq!(ic.access_block(60, 100), 0, "second pass all hits");
     }
@@ -261,7 +252,6 @@ mod tests {
     fn zero_byte_block() {
         let mut ic = ICache::new(1024, 64, 2);
         assert_eq!(ic.access_block(0, 0), 0);
-        assert_eq!(ic.lines_spanned(0, 0), 0);
     }
 
     #[test]

@@ -186,11 +186,6 @@ impl Perfctr {
         &self.costs
     }
 
-    /// Whether the TSC is part of the measurement set.
-    pub fn tsc_enabled(&self) -> bool {
-        self.tsc_on
-    }
-
     /// Whether counting is currently started.
     pub fn is_running(&self) -> bool {
         self.running

@@ -60,11 +60,6 @@ impl Factor {
     pub fn level_name(&self, i: usize) -> Option<&str> {
         self.levels.get(i).map(String::as_str)
     }
-
-    /// Index of the level with the given label.
-    pub fn level_index(&self, label: &str) -> Option<usize> {
-        self.levels.iter().position(|l| l == label)
-    }
 }
 
 /// One row of an ANOVA table: a factor's contribution to the variance.
@@ -445,8 +440,6 @@ mod tests {
     fn factor_lookup_helpers() {
         let f = Factor::new("pattern", ["ar", "ao", "rr", "ro"]);
         assert_eq!(f.name(), "pattern");
-        assert_eq!(f.level_index("rr"), Some(2));
-        assert_eq!(f.level_index("xx"), None);
         assert_eq!(f.level_name(3), Some("ro"));
         assert_eq!(f.level_name(4), None);
     }

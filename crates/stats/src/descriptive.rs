@@ -63,18 +63,6 @@ pub fn std_dev(xs: &[f64]) -> Result<f64> {
     variance(xs).map(f64::sqrt)
 }
 
-/// Population variance (the `n` denominator estimator).
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyInput`] for an empty slice and
-/// [`StatsError::NonFinite`] for non-finite input.
-pub fn population_variance(xs: &[f64]) -> Result<f64> {
-    check_sample(xs)?;
-    let m = mean(xs)?;
-    Ok(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64)
-}
-
 /// Minimum of a sample.
 ///
 /// # Errors
@@ -246,12 +234,6 @@ mod tests {
         let va = variance(&a).unwrap();
         let vb = variance(&b).unwrap();
         assert!((va - vb).abs() < 1e-6, "Welford should keep precision");
-    }
-
-    #[test]
-    fn population_variance_smaller_than_sample() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert!(population_variance(&xs).unwrap() < variance(&xs).unwrap());
     }
 
     #[test]

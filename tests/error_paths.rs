@@ -14,10 +14,10 @@
 
 use counterlab::benchmark::Benchmark;
 use counterlab::config::MeasurementConfig;
-use counterlab::exec::{self, RunOptions};
+use counterlab::exec::RunOptions;
 use counterlab::grid::Grid;
 use counterlab::interface::{CountingMode, Interface};
-use counterlab::measure::run_measurement;
+use counterlab::measure::{run_measurement, Record};
 use counterlab::pattern::Pattern;
 use counterlab::sweep::Plan;
 use counterlab::CoreError;
@@ -229,27 +229,25 @@ fn fold_aborts_cell_on_first_failing_rep() {
 }
 
 #[test]
-#[expect(clippy::disallowed_methods, reason = "the engine's own contract, below the runner")]
 fn exec_fold_reports_lowest_index_backwards_error() {
-    // Pure-engine form of the same guarantee on the one cell engine, with
-    // ragged blocks (10 reps in blocks of 3): scattered
-    // CounterWentBackwards failures at flat indices 31, 32 and 97 — index
-    // 31 wins at every worker count.
+    // Pure-engine form of the same guarantee on the one runner, with
+    // ragged blocks (10 reps in blocks of 3): a 20-cell plan whose runs,
+    // seeded by their flat index, fail with CounterWentBackwards at flat
+    // indices 31, 32 and 97 — index 31 wins at every worker count.
+    let measure = |cfg: &MeasurementConfig, benchmark| {
+        let i = cfg.seed as usize;
+        if i == 31 || i == 32 || i == 97 {
+            return Err(backwards_at(i));
+        }
+        Ok(Record { config: *cfg, benchmark, measured: 0, expected: 0 })
+    };
+    let cfg = MeasurementConfig::new(Processor::AthlonK8, Interface::Pm);
+    let plan = Plan {
+        measure: Some(&measure),
+        ..Plan::new(20, 10, 3, |_| (cfg, Benchmark::Null), |c, rep| (c * 10 + rep) as u64)
+    };
     for jobs in [1, 2, 4, 8] {
-        let err = exec::run_cell_chunked(
-            20,
-            10,
-            3,
-            &RunOptions::with_jobs(jobs),
-            |_, _, _| Ok(()),
-            |(), i| {
-                if i == 31 || i == 32 || i == 97 {
-                    return Err(backwards_at(i));
-                }
-                Ok(i)
-            },
-        )
-        .unwrap_err();
+        let err = plan.records(&RunOptions::with_jobs(jobs)).unwrap_err();
         match err {
             CoreError::CounterWentBackwards { first, .. } => {
                 assert_eq!(first, 31, "jobs = {jobs}");

@@ -5,10 +5,14 @@
 //! the property that makes the paper-scale sweep safely parallel.
 
 use counterlab::benchmark::Benchmark;
-use counterlab::exec::{run_indexed, RunOptions};
+use counterlab::config::MeasurementConfig;
+use counterlab::exec::RunOptions;
 use counterlab::grid::Grid;
 use counterlab::interface::{CountingMode, Interface};
+use counterlab::measure::Record;
 use counterlab::pattern::Pattern;
+use counterlab::sweep::Plan;
+use counterlab_cpu::uarch::Processor;
 use proptest::prelude::*;
 
 /// A grid that exercises skipping rules, several interfaces and reps.
@@ -57,18 +61,31 @@ fn jobs_do_not_change_csv_bytes() {
 
 #[test]
 fn engine_keeps_enumeration_order() {
-    // Pure-engine check, no measurements: results land in index order at
-    // every worker count even when item "cost" varies wildly.
-    let spin = |i: usize| {
+    // Pure-engine check, no measurements: a plan whose every run spins by
+    // its index (the run's seed) instead of measuring. Results land in
+    // index order at every worker count even when item "cost" varies
+    // wildly.
+    let spin = |cfg: &MeasurementConfig, benchmark| {
+        let i = cfg.seed as usize;
         let mut acc = i as u64;
         for k in 0..(i % 7) * 1_000 {
             acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k as u64);
         }
-        Ok((i, acc))
+        Ok(Record { config: *cfg, benchmark, measured: acc, expected: 0 })
     };
-    let seq = run_indexed(500, &RunOptions::sequential(), spin).unwrap();
+    let cfg = MeasurementConfig::new(Processor::AthlonK8, Interface::Pm);
+    let plan = Plan {
+        measure: Some(&spin),
+        ..Plan::new(500, 1, 1, |_| (cfg, Benchmark::Null), |i, _| i as u64)
+    };
+    let run = |opts| -> Vec<(u64, u64)> {
+        let records = plan.records(&opts).unwrap();
+        records.iter().map(|r| (r.config.seed, r.measured)).collect()
+    };
+    let seq = run(RunOptions::sequential());
+    assert!(seq.iter().enumerate().all(|(i, &(seed, _))| seed == i as u64));
     for jobs in [2, 4, 8] {
-        let par = run_indexed(500, &RunOptions::with_jobs(jobs), spin).unwrap();
+        let par = run(RunOptions::with_jobs(jobs));
         assert_eq!(seq, par, "jobs = {jobs}");
     }
 }

@@ -17,6 +17,7 @@ use counterlab::interface::{CountingMode, Interface};
 use counterlab::measure::{run_measurement, MeasurementSession};
 use counterlab::pattern::Pattern;
 use counterlab::prelude::*;
+use counterlab::sweep::Plan;
 use counterlab_cpu::pmu::Event;
 use proptest::prelude::*;
 
@@ -66,40 +67,37 @@ fn arb_benchmark() -> impl Strategy<Value = Benchmark> {
     ]
 }
 
-/// An arbitrary cell, valid or not, on stack `home + offset` of the 18
-/// processor × interface stacks — the offset is 0 for most cells, so a
-/// chain of cells mostly re-targets one stack and now and then moves to
-/// another. Everything else is arbitrary: pattern (read-first patterns are
-/// unsupported on PAPI high level), build optimization level, counting
-/// mode, event, counter count (0 and counts beyond the processor's
-/// registers are invalid), TSC setting, timer frequency, zoo benchmark
-/// (short, or long enough for timer ticks to land) and boot seed (often a
-/// shared one, so a session handed on unrun meets a cell armed for the
-/// same seed).
-fn arb_cell() -> impl Strategy<Value = (usize, MeasurementConfig, Benchmark)> {
+/// An arbitrary valid cell, mostly on one of three stacks (so a plan's
+/// stacks interleave and recur) and now and then on any of the 18
+/// processor × interface stacks. Everything a valid cell may vary is
+/// arbitrary: a pattern the interface supports, build optimization level,
+/// counting mode, event, 1 to all of the processor's counters, TSC
+/// setting, timer frequency and zoo benchmark, short or long enough for
+/// timer ticks to land.
+fn arb_plan_cell() -> impl Strategy<Value = (MeasurementConfig, Benchmark)> {
     (
-        prop_oneof![Just(0usize), Just(0usize), Just(0usize), 0usize..18],
+        prop_oneof![0usize..3, 0usize..3, 0usize..18],
         (0usize..4, 0usize..4, 0usize..3, 0usize..Event::ALL.len()),
-        prop_oneof![1usize..=4, 1usize..=4, 0usize..=5],
+        1usize..=4,
         any::<bool>(),
         prop_oneof![Just(0u32), Just(250u32), Just(1000u32)],
         (0usize..8, prop_oneof![1u64..3_000, 1_000_000u64..8_000_000]),
-        prop_oneof![Just(7u64), any::<u64>()],
     )
-        .prop_map(
-            |(offset, (pat, opt, mode, event), counters, tsc_on, hz, (b, iters), seed)| {
-                let cfg = MeasurementConfig::new(Processor::Core2Duo, Interface::Pm)
-                    .with_pattern(Pattern::ALL[pat])
-                    .with_opt_level(OptLevel::ALL[opt])
-                    .with_mode(CountingMode::ALL[mode])
-                    .with_event(Event::ALL[event])
-                    .with_counters(counters)
-                    .with_tsc(tsc_on)
-                    .with_hz(hz)
-                    .with_seed(seed);
-                (offset, cfg, Benchmark::zoo(iters)[b])
-            },
-        )
+        .prop_map(|(stack, (pat, opt, mode, event), counters, tsc_on, hz, (b, iters))| {
+            let processors = [Processor::PentiumD, Processor::Core2Duo, Processor::AthlonK8];
+            let processor = processors[stack / 6];
+            let interface = Interface::ALL[stack % 6];
+            let patterns = interface.supported_patterns();
+            let cfg = MeasurementConfig::new(processor, interface)
+                .with_pattern(patterns[pat % patterns.len()])
+                .with_opt_level(OptLevel::ALL[opt])
+                .with_mode(CountingMode::ALL[mode])
+                .with_event(Event::ALL[event])
+                .with_counters(counters.min(processor.uarch().programmable_counters))
+                .with_tsc(tsc_on)
+                .with_hz(hz);
+            (cfg, Benchmark::zoo(iters)[b])
+        })
 }
 
 /// A random small grid: enough cells to exercise the skipping rules and
@@ -211,44 +209,37 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// One chain of `MeasurementSession::reuse` calls over an arbitrary
-    /// sequence of cells — same stack or not, valid or not — gives every
-    /// valid cell records bit-identical to fresh boots (its boot seed
-    /// first, then another seed; sessions are also handed on after no
-    /// run), and every invalid cell the very error
-    /// `MeasurementSession::new` gives it.
+    /// An arbitrary plan — valid cells whose stacks interleave, 1 to 5 runs
+    /// per cell, blocks of 1 to `reps` runs (ragged ones too) — gives the
+    /// records, the per-cell folds and the stream that the same plan on
+    /// fresh boots gives, at jobs 1 and 3: stack order and session reuse
+    /// change no record, whatever the interleaving.
     #[test]
-    #[expect(clippy::disallowed_methods, reason = "pins `reuse` itself, below the sweep runner")]
-    fn reuse_chain_matches_fresh_boots(
-        home in 0usize..18,
-        cells in proptest::collection::vec((arb_cell(), 0usize..4), 1..10),
-        extra_seed in any::<u64>(),
+    fn arbitrary_plans_match_fresh_boots(
+        cells in proptest::collection::vec(arb_plan_cell(), 1..12),
+        shape in (1usize..=5, 0usize..5),
+        base_seed in any::<u64>(),
     ) {
-        let processors = [Processor::PentiumD, Processor::Core2Duo, Processor::AthlonK8];
-        let mut prev = None;
-        for ((offset, cfg, benchmark), runs) in cells {
-            let stack = (home + offset) % 18;
-            let cfg = MeasurementConfig {
-                processor: processors[stack / 6],
-                interface: Interface::ALL[stack % 6],
-                ..cfg
-            };
-            match MeasurementSession::reuse(prev.take(), &cfg, benchmark) {
-                Ok(mut session) => {
-                    for &seed in [cfg.seed, extra_seed, cfg.seed].iter().take(runs) {
-                        let fresh = run_measurement(&cfg.with_seed(seed), benchmark).unwrap();
-                        prop_assert_eq!(session.run(seed).unwrap(), fresh, "{:?}", cfg);
-                    }
-                    prev = Some(session);
-                }
-                Err(err) => {
-                    let boot = MeasurementSession::new(&cfg, benchmark).unwrap_err();
-                    prop_assert_eq!(&err, &boot, "{:?}", cfg);
-                    prop_assert_eq!(&err, &run_measurement(&cfg, benchmark).unwrap_err());
-                }
-            }
+        let (reps, block) = (shape.0, 1 + shape.1 % shape.0);
+        let make = || {
+            Plan::new(cells.len(), reps, block, |c| cells[c], |c, rep| {
+                base_seed.wrapping_add((c * reps + rep) as u64)
+            })
+        };
+        let fresh = Plan { measure: Some(&run_measurement), ..make() };
+        let expected = fresh.records(&RunOptions::sequential()).unwrap();
+        prop_assert_eq!(expected.len(), cells.len() * reps);
+        for jobs in [1usize, 3] {
+            let opts = RunOptions::with_jobs(jobs);
+            let plan = make();
+            prop_assert_eq!(&plan.records(&opts).unwrap(), &expected, "records, jobs = {}", jobs);
+            let folded = plan.fold(&opts, |_| Vec::new(), |acc, r| acc.push(*r)).unwrap();
+            prop_assert_eq!(folded.concat(), expected.clone(), "fold, jobs = {}", jobs);
+            let mut streamed = Vec::new();
+            let n = plan.stream(&opts, |r| streamed.push(*r)).unwrap();
+            prop_assert_eq!((n, streamed), (expected.len(), expected.clone()), "stream, jobs {}", jobs);
         }
     }
 }

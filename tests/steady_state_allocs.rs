@@ -108,15 +108,13 @@ fn every_stack_runs_allocation_free_after_its_first_run() {
 }
 
 /// Re-targeting a session to another cell of the same stack, and that
-/// cell's first run, allocate nothing.
+/// cell's first run, allocate nothing: a one-worker plan of `[first,
+/// next]` costs exactly what the plan of `[first]` alone costs.
 #[test]
-#[expect(clippy::disallowed_methods, reason = "pins `reuse` itself, below the sweep runner")]
 fn same_stack_reuse_allocates_nothing() {
     for processor in PROCESSORS {
         for interface in Interface::ALL {
             let first = MeasurementConfig::new(processor, interface);
-            let mut session = MeasurementSession::new(&first, Benchmark::Null).unwrap();
-            session.run(first.seed).unwrap();
             let next = first
                 .with_pattern(Pattern::StartStop)
                 .with_mode(CountingMode::UserKernel)
@@ -124,12 +122,15 @@ fn same_stack_reuse_allocates_nothing() {
                 .with_tsc(false)
                 .with_hz(1000)
                 .with_seed(9);
-            let (n, record) = allocations(|| {
-                let mut session = MeasurementSession::reuse(Some(session), &next, Benchmark::Null)?;
-                session.run(next.seed)
-            });
-            record.unwrap();
-            assert_eq!(n, 0, "{processor}/{interface}");
+            let cells = [first, next];
+            let allocs = |n: usize| {
+                let cell = |c: usize| (cells[c], Benchmark::Null);
+                let plan = Plan::new(n, 1, 1, cell, |c, _| cells[c].seed);
+                let (allocs, records) = allocations(|| plan.records(&RunOptions::with_jobs(1)));
+                assert_eq!(records.unwrap().len(), n);
+                allocs
+            };
+            assert_eq!(allocs(2), allocs(1), "{processor}/{interface}");
         }
     }
 }

@@ -11,7 +11,6 @@
 //! every downstream figure.
 
 use counterlab::benchmark::Benchmark;
-use counterlab::exec::{run_indexed, RunOptions};
 use counterlab::prelude::*;
 use counterlab_cpu::layout::CodePlacement;
 use counterlab_cpu::pmu::{CountMode, Event, PmcConfig};
@@ -120,15 +119,33 @@ fn oracle_sweep_is_jobs_invariant() {
         .into_iter()
         .flat_map(|b| Event::ALL.into_iter().map(move |e| (b, e)))
         .collect();
+    // Each of `jobs` scoped threads counts one contiguous share of the
+    // work; the shares are joined back in order.
     let sweep = |jobs: usize| {
-        run_indexed(work.len(), &RunOptions::with_jobs(jobs), |i| {
-            let (bench, event) = work[i];
-            Ok((
-                count(Processor::Core2Duo, 0xD1CE, bench, event, CountMode::UserOnly),
-                bench.expected_counts(event),
-            ))
+        let share = work.len().div_ceil(jobs);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = work
+                .chunks(share)
+                .map(|chunk| {
+                    scope.spawn(move || {
+                        chunk
+                            .iter()
+                            .map(|&(bench, event)| {
+                                let mode = CountMode::UserOnly;
+                                (
+                                    count(Processor::Core2Duo, 0xD1CE, bench, event, mode),
+                                    bench.expected_counts(event),
+                                )
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("sweep runs"))
+                .collect::<Vec<_>>()
         })
-        .expect("sweep runs")
     };
     let baseline = sweep(1);
     for (i, &(measured, oracle)) in baseline.iter().enumerate() {
